@@ -6,7 +6,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test bench bench-smoke perf-smoke campaign-smoke attack-smoke \
 	dse-smoke harness-smoke scaling-smoke obs-smoke coverage-smoke \
-	trace-smoke service-smoke bench-gate clean
+	trace-smoke service-smoke perfbench-selftest bench-gate clean
 
 # Regression threshold (percent) for `make bench-gate`.
 BENCH_GATE ?= 25
@@ -134,6 +134,13 @@ trace-smoke:  ## background campaign -> live follow -> trace export -> self-diff
 # `repro campaign` run.  See docs/SERVICE.md.
 service-smoke:  ## serve -> two tenants -> cache hit -> kill -9 -> resume, byte-identical
 	$(PYTHON) -m pytest tests/service/test_smoke_cli.py -q
+
+# perfbench-selftest runs the repo benchmark's own tests (a tiny pass of
+# every workload, tampered outputs must fail).  The benchmark's probes
+# patch named seams of the program, so a refactor that removes one fails
+# here rather than in a benchmark run.
+perfbench-selftest:  ## the repo benchmark's self-test (perfbench/selftest.py)
+	$(PYTHON) perfbench/selftest.py
 
 # bench-gate compares every committed BENCH_*.json against the
 # PREV_BENCH_*.json stash the benchmark harness leaves behind when it

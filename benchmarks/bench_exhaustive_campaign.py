@@ -52,7 +52,7 @@ def test_exhaustive_single_bit_default_scale(save_result, record_bench):
         )
         runner = CampaignRunner(spec, workers=WORKERS, chunk_size=256)
         faults = PRESET.faults(runner.campaign, seed=SEED)
-        executed = len(runner.campaign.executed_addresses)
+        executed = len(runner.campaign.context.executed_addresses)
         assert len(faults) == 32 * executed
 
         start = time.perf_counter()

@@ -25,8 +25,8 @@ def main() -> None:
     runner = CampaignRunner(spec, workers=workers)
     print(f"golden run of {workload} (small scale)...")
     campaign = runner.campaign
-    print(f"  executed {len(campaign.executed_addresses)} distinct "
-          f"instruction words; golden output {campaign.golden_console!r}")
+    print(f"  executed {len(campaign.context.executed_addresses)} distinct "
+          f"instruction words; golden output {campaign.context.golden_console!r}")
 
     table = TextTable(
         ["scenario", "faults", "cic", "baseline", "silent", "benign",

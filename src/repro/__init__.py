@@ -32,16 +32,13 @@ Quick start::
 
 from repro.asm import assemble
 from repro.errors import MonitorViolation, ReproError
-from repro.meister import AsipMeister, MonitorSpec
 from repro.osmodel import load_process
 from repro.pipeline import FuncSim, PipelineCPU
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "AsipMeister",
     "FuncSim",
-    "MonitorSpec",
     "MonitorViolation",
     "PipelineCPU",
     "ReproError",

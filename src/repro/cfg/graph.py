@@ -1,9 +1,9 @@
 """Control-flow graph construction on top of the canonical partition.
 
-The CFG is a :class:`networkx.DiGraph` whose nodes are canonical basic
-blocks (keyed by ``(start, end)``) and whose edges follow static successor
-relations.  Indirect jumps (``jr``/``jalr``) get edges to every text-symbol
-block, the same conservative cover the entry-point enumeration uses.
+The CFG maps each canonical basic block (keyed by ``(start, end)``) to
+the set of its static successors.  Indirect jumps (``jr``/``jalr``) get
+edges to every text-symbol block, the same conservative cover the
+entry-point enumeration uses.
 
 The graph backs workload structure reports (block counts, loop detection)
 and the DESIGN-level sanity checks comparing our workloads' shapes to the
@@ -11,8 +11,6 @@ paper's quoted block counts.
 """
 
 from __future__ import annotations
-
-import networkx as nx
 
 from repro.asm.program import Program
 from repro.cfg.basic_blocks import partition_blocks
@@ -27,19 +25,20 @@ from repro.isa.properties import (
     jump_target,
 )
 
+#: A canonical basic block's ``(start, end)`` key.
+Block = tuple[int, int]
 
-def control_flow_graph(program: Program) -> nx.DiGraph:
-    """Build the canonical CFG of *program*."""
+
+def control_flow_graph(program: Program) -> dict[Block, set[Block]]:
+    """Build the canonical CFG of *program*: block -> successor blocks."""
     blocks = partition_blocks(program)
-    graph = nx.DiGraph()
+    graph: dict[Block, set[Block]] = {block.key: set() for block in blocks}
     by_start = {block.start: block for block in blocks}
     text_symbols = sorted(
         value
         for value in program.symbols.values()
         if program.text_start <= value < program.text_end and value in by_start
     )
-    for block in blocks:
-        graph.add_node(block.key, length=block.length)
     for block in blocks:
         terminator_address = block.end
         try:
@@ -68,16 +67,21 @@ def control_flow_graph(program: Program) -> nx.DiGraph:
         for target in successors:
             successor = by_start.get(target)
             if successor is not None:
-                graph.add_edge(block.key, successor.key)
+                graph[block.key].add(successor.key)
     return graph
 
 
-def reachable_blocks(program: Program) -> set[tuple[int, int]]:
+def reachable_blocks(program: Program) -> set[Block]:
     """Blocks reachable from the entry block in the canonical CFG."""
     graph = control_flow_graph(program)
-    entry_block = next(
-        (node for node in graph.nodes if node[0] == program.entry), None
-    )
+    entry_block = next((node for node in graph if node[0] == program.entry), None)
     if entry_block is None:
         return set()
-    return {entry_block} | set(nx.descendants(graph, entry_block))
+    reached = {entry_block}
+    stack = [entry_block]
+    while stack:
+        for successor in graph[stack.pop()]:
+            if successor not in reached:
+                reached.add(successor)
+                stack.append(successor)
+    return reached

@@ -836,7 +836,14 @@ def _stats_render(args: argparse.Namespace) -> int:
     reports = []
     events_checked = 0
     for path in files:
-        payload = load_metrics(path)
+        try:
+            payload = load_metrics(path)
+        except ValueError:
+            payload = None
+        if not isinstance(payload, dict) or payload.get("type") != "metrics":
+            log.error(f"error: {path} is not a metrics artifact")
+            status = 1
+            continue
         if args.check:
             errors = validate_metrics(payload)
             events_file = resolve_events_path(path)

@@ -62,6 +62,11 @@ class MemoryAccessError(SimulationError):
     """An access touched an unmapped or misaligned address."""
 
 
+class BudgetExceeded(SimulationError):
+    """A run outlived its execution budget: an instruction limit, a
+    provable loop caught by the hang detector, or a cycle ceiling."""
+
+
 class MonitorViolation(ReproError):
     """Raised by the OS model when the CIC reports an unrecoverable mismatch.
 

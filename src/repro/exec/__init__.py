@@ -14,9 +14,12 @@ reproducibility:
   the repo (campaigns, attack sweeps, the design-space explorer) runs
   on;
 * :mod:`repro.exec.backends` — the pluggable :class:`Backend` registry:
-  ``full`` replay, ``golden`` fork-at-fault
-  (:mod:`repro.exec.golden`), and the cycle-measuring
-  ``pipeline-golden`` (:mod:`repro.exec.pipeline_golden`);
+  ``full`` replay, ``golden`` fork-at-fault, and the cycle-measuring
+  ``pipeline-golden``, each a batch kernel where one fault is a batch of
+  one;
+* :mod:`repro.exec.golden` — the one checkpoint store, record loop and
+  fork planner both golden backends share, and the functional batch
+  kernel; :mod:`repro.exec.pipeline_golden` holds the cycle-level one;
 * :mod:`repro.exec.spec` — :class:`CampaignSpec`, the picklable campaign
   description every worker re-derives its simulator state from; its
   ``backend`` field names a registered backend;
@@ -31,9 +34,9 @@ reproducibility:
 
 Outcome taxonomy
 ----------------
-Every injected fault is classified by the shared
-:func:`repro.faults.campaign.run_one` kernel into exactly one
-:class:`~repro.faults.campaign.Outcome`:
+Every backend ends in the one classification tail,
+:func:`repro.faults.campaign.classify_run`, which puts each injected
+fault in exactly one :class:`~repro.faults.campaign.Outcome`:
 
 =====================  ====================================================
 outcome (JSON value)   meaning
@@ -81,7 +84,6 @@ from repro.exec.golden import (
     GoldenStore,
     build_golden_store,
     run_batch_golden,
-    run_one_golden,
 )
 from repro.exec.harness import (
     DEFAULT_CHUNK_SIZE,
@@ -92,7 +94,6 @@ from repro.exec.harness import (
     WorkspaceFactory,
 )
 from repro.exec.pipeline_golden import (
-    PipelineGoldenStore,
     build_pipeline_golden_store,
     run_batch_pipeline_golden,
     run_one_pipeline,
@@ -118,7 +119,6 @@ __all__ = [
     "HarnessRunner",
     "Job",
     "MeasureCache",
-    "PipelineGoldenStore",
     "WarmPool",
     "Workspace",
     "WorkspaceFactory",
@@ -133,7 +133,6 @@ __all__ = [
     "register_backend",
     "run_batch_golden",
     "run_batch_pipeline_golden",
-    "run_one_golden",
     "run_one_pipeline",
     "run_one_pipeline_golden",
     "shard_seed",

@@ -27,8 +27,9 @@ name                execution strategy
 
 Backends self-describe through two small hooks the execution harness
 calls: :meth:`Backend.prepare` builds the per-worker state once (e.g.
-record the golden run and its checkpoints), :meth:`Backend.run` executes
-one injection against it.  Registering a new backend is one
+record the golden run and its checkpoints), :meth:`Backend.run_batch`
+executes a batch of injections against it — a single injection is a
+batch of one.  Registering a new backend is one
 :func:`register_backend` call; every consumer — ``CampaignSpec``
 validation, the harness workspaces, the DSE engine, the CLI ``--backend``
 choices — resolves names through this registry.
@@ -40,11 +41,10 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.faults.campaign import CampaignContext, FaultResult, WarmProcess, run_one
-from repro.exec.golden import build_golden_store, run_batch_golden, run_one_golden
+from repro.exec.golden import build_golden_store, run_batch_golden
 from repro.exec.pipeline_golden import (
     build_pipeline_golden_store,
     run_batch_pipeline_golden,
-    run_one_pipeline_golden,
 )
 
 
@@ -55,28 +55,22 @@ class Backend:
     name: str = ""
     #: One-line description surfaced in ``--help`` and docs.
     description: str = ""
-    #: Whether :meth:`run` fills :attr:`FaultResult.cycles` with measured
-    #: cycle counts (the cycle-level backends).
+    #: Whether :meth:`run_batch` fills :attr:`FaultResult.cycles` with
+    #: measured cycle counts (the cycle-level backends).
     measures_cycles: bool = False
 
     def prepare(self, context: CampaignContext, warm: WarmProcess):
         """Build the per-worker execution state for *context* once."""
         raise NotImplementedError
 
-    def run(self, state, fault) -> FaultResult:
-        """Execute and classify one injection against prepared *state*."""
-        raise NotImplementedError
-
     def run_batch(self, state, faults) -> list[FaultResult]:
-        """Execute a batch of injections against prepared *state*.
+        """Execute and classify *faults* against prepared *state*.
 
-        Semantically ``[self.run(state, f) for f in faults]`` — and that
-        is the default — but backends with a batched kernel override this
-        to amortize per-injection setup (object construction, pristine
-        prefix replay) across the batch.  The scaling-invariance tier
-        pins batched ≡ unbatched per element.
+        Results come back in input order, each independent of its batch
+        company: the scaling-invariance tier pins a batch of *n* ≡ *n*
+        batches of one, per element.
         """
-        return [self.run(state, fault) for fault in faults]
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -87,9 +81,9 @@ class FullBackend(Backend):
     def prepare(self, context, warm):
         return (context, warm)
 
-    def run(self, state, fault):
+    def run_batch(self, state, faults):
         context, warm = state
-        return run_one(context, fault, warm=warm)
+        return [run_one(context, fault, warm=warm) for fault in faults]
 
 
 @dataclass(frozen=True)
@@ -99,9 +93,6 @@ class GoldenBackend(Backend):
 
     def prepare(self, context, warm):
         return build_golden_store(context, warm)
-
-    def run(self, state, fault):
-        return run_one_golden(state, fault)
 
     def run_batch(self, state, faults):
         return run_batch_golden(state, faults)
@@ -115,9 +106,6 @@ class PipelineGoldenBackend(Backend):
 
     def prepare(self, context, warm):
         return build_pipeline_golden_store(context, warm)
-
-    def run(self, state, fault):
-        return run_one_pipeline_golden(state, fault)
 
     def run_batch(self, state, faults):
         return run_batch_pipeline_golden(state, faults)

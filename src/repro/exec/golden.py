@@ -1,26 +1,28 @@
-"""Golden-trace differential replay: the checkpointed campaign backend.
+"""Golden-trace differential replay: one checkpoint store for both simulators.
 
 The full backend re-executes the entire workload for every injection, even
 though a fault at address *A* cannot influence anything before the first
 fetch of *A* — every instruction up to that point replays the pristine
-("golden") run exactly.  This backend records the golden run **once** per
-worker and forks each injection at the fault instead:
+("golden") run exactly.  The golden backends record the golden run **once**
+per worker and fork each injection at the fault instead.  This module
+holds what the functional and the cycle-level backend
+(:mod:`repro.exec.pipeline_golden`) share, plus the functional kernel:
 
-1. :func:`build_golden_store` executes the *monitored* pristine run,
-   pausing every ``interval`` instructions to snapshot the simulator
-   (:meth:`FuncSim.snapshot`) and the monitor (CIC registers, IHT rows,
-   handler counters, policy state).  The same run records, per text
-   address, the instruction ordinals of its fetches, plus the set of text
-   words the program ever reads as *data*.
-2. :func:`run_one_golden` plans one injection: the first fetch ordinal at
-   which the perturbation can corrupt the pipeline (``F``) follows
-   directly from the recorded ordinals.  The run is forked from the last
-   checkpoint strictly before ``F``, transient fetch counters are
-   :meth:`seek`-ed to the checkpoint, and execution proceeds live through
-   the shared :func:`~repro.faults.campaign.classify_run` tail.
-3. A perturbation that can never deliver — targets never fetched, never
-   read as data — is classified ``BENIGN`` with no simulation at all: the
-   faulty run *is* the golden run.
+1. :func:`record_store` executes the *monitored* pristine run on either
+   simulator, pausing every ``interval`` instructions to snapshot it and
+   the monitor (CIC registers, IHT rows, handler counters, policy state).
+   The same run records, per text address, the ordinals of its fetches,
+   plus the set of text words the program ever reads as *data*.
+2. :func:`plan_fork` plans one injection: the first fetch ordinal at
+   which the perturbation can corrupt the pipeline follows directly from
+   the recorded ordinals.  A perturbation that can never deliver —
+   targets never fetched, never read as data — is classified ``BENIGN``
+   with no simulation at all: the faulty run *is* the golden run.
+3. A kernel forks the run before that ordinal, :func:`seek_transients`
+   puts transient fetch counters where the golden run left them, and
+   execution proceeds live through the shared
+   :func:`~repro.faults.campaign.classify_run` tail.  The functional
+   kernel is :func:`run_batch_golden`; a single fault is a batch of one.
 
 Soundness notes
     * Checkpoints are taken at instruction boundaries; the monitor's
@@ -31,14 +33,14 @@ Soundness notes
     * A persistent fault whose target the program reads as data — or
       stores to, overwriting the boot-time patch — could diverge before
       the first fetch; such targets (recorded in ``unsafe_words``) fork
-      at checkpoint 0 — the full behaviour, with the warm-cache savings
-      only.
+      at zero — the full behaviour, with the warm-cache savings only.
+      So do transient parts that cannot ``seek``.
     * ``HANG`` uses the same absolute instruction budget: the restored
       simulator keeps counting from the checkpoint's instruction number.
 
-The differential test ``tests/exec/test_golden_backend.py`` pins
-``golden ≡ full`` on outcome, detail, and latency for every fault model
-and every attack class.
+The differential tests ``tests/exec/test_golden_backend.py`` and
+``tests/exec/test_batch_kernels.py`` pin ``golden ≡ full`` on outcome,
+detail, and latency for every fault model and every attack class.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from repro.faults.campaign import (
     make_probe,
     split_perturbation,
 )
-from repro.pipeline.funcsim import FuncSim, FuncSimSnapshot
+from repro.pipeline.funcsim import FuncSim
 from repro.pipeline.memory import Memory
 from repro.pipeline.trace import BlockTrace
 
@@ -73,9 +75,37 @@ class Checkpoint:
     """One restore point: the simulator and the monitor, in lock step."""
 
     instructions: int
-    sim: FuncSimSnapshot
+    #: Fetch-hook invocations at the boundary: equal to ``instructions``
+    #: on :class:`FuncSim`, while the pipeline also counts the wrong-path
+    #: slots it fetched and squashed.
+    fetches: int
+    #: A :class:`~repro.pipeline.funcsim.FuncSimSnapshot` or a
+    #: :class:`~repro.pipeline.cpu.PipelineSnapshot`.
+    sim: object
     checker: tuple
     handler: tuple
+
+
+def _checkpoint(simulator, fetches: int) -> Checkpoint:
+    sim = simulator.snapshot()
+    checker = simulator.monitor
+    return Checkpoint(
+        sim.instructions, fetches, sim, checker.snapshot(), checker.handler.snapshot()
+    )
+
+
+def restore_checkpoint(simulator, checkpoint: Checkpoint) -> None:
+    """Rewind (or fast-forward) *simulator* and its monitor to *checkpoint*.
+
+    The restores are complete — every mutable field of either simulator,
+    the checker, and the OS handler is covered by the snapshot protocol
+    (``tests/pipeline/test_snapshot.py``) — so a simulator that just
+    finished (or crashed out of) another injection is indistinguishable
+    from a fresh one.
+    """
+    simulator.restore(checkpoint.sim)
+    simulator.monitor.restore(checkpoint.checker)
+    simulator.monitor.handler.restore(checkpoint.handler)
 
 
 class _FetchRecorder:
@@ -157,34 +187,40 @@ class GoldenStore:
     context: CampaignContext
     warm: WarmProcess
     checkpoints: list[Checkpoint]
-    #: 1-based instruction ordinals at which each address was fetched.
+    #: 1-based fetch ordinals at which each address was fetched — in
+    #: fetch-sequence space, which on :class:`FuncSim` is instruction
+    #: space.
     fetch_ordinals: dict[int, tuple[int, ...]]
     #: Text words the golden run reads as data or stores to — persistent
-    #: faults on these fork at checkpoint 0 (full behaviour).
+    #: faults on these fork at zero (full behaviour).
     unsafe_words: frozenset[int]
     golden_instructions: int
     interval: int
     #: The golden run's dynamic basic-block trace — the same record the
     #: Figure-6 replay consumes (:func:`repro.cic.replay.replay_trace`).
     trace: BlockTrace | None = None
-    #: Instruction counts of ``checkpoints``, for bisection.
+    #: Measured cycles of the monitored pristine run — the quantity the
+    #: analytic Table-1 accounting predicts.  Only the cycle-level
+    #: recording sets it.
+    golden_cycles: int | None = None
+    #: Fetch counts of ``checkpoints``, for bisection.
     _marks: list[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self._marks = [checkpoint.instructions for checkpoint in self.checkpoints]
+        self._marks = [checkpoint.fetches for checkpoint in self.checkpoints]
 
     def checkpoint_before(self, ordinal: int) -> Checkpoint:
         """The latest checkpoint strictly before fetch *ordinal* fires."""
         index = bisect_right(self._marks, ordinal - 1) - 1
         return self.checkpoints[max(index, 0)]
 
-    def fetch_counts_at(self, instructions: int, addresses) -> dict[int, int]:
-        """Golden fetches of each address in the first *instructions*."""
+    def fetch_counts_at(self, fetches: int, addresses) -> dict[int, int]:
+        """Golden fetches of each address among the first *fetches*."""
         counts: dict[int, int] = {}
         for address in addresses:
             ordinals = self.fetch_ordinals.get(address)
             if ordinals:
-                counts[address] = bisect_right(ordinals, instructions)
+                counts[address] = bisect_right(ordinals, fetches)
         return counts
 
 
@@ -196,64 +232,42 @@ def checkpoint_interval(golden_instructions: int) -> int:
     )
 
 
-def build_golden_store(
+def record_store(
     context: CampaignContext,
-    warm: WarmProcess | None = None,
-    interval: int | None = None,
+    warm: WarmProcess,
+    interval: int | None,
+    simulator,
+    label: str,
 ) -> GoldenStore:
-    """Record the monitored golden run with periodic checkpoints.
+    """Record the monitored golden run of *simulator* with checkpoints.
 
-    Costs roughly one monitored run plus the snapshot copies; every
-    injection of the campaign then starts from a checkpoint instead of
-    instruction zero.
+    *simulator* is a freshly booted, monitored :class:`FuncSim` or
+    :class:`~repro.pipeline.cpu.PipelineCPU`; *label* names the
+    ``<label>.record`` span and the recording counters.  Costs roughly one
+    monitored run plus the snapshot copies; every injection of the
+    campaign then starts from a checkpoint instead of instruction zero.
     """
-    warm = warm or WarmProcess.from_context(context)
     if interval is None:
         interval = checkpoint_interval(context.golden_instructions)
     if interval < 1:
         raise ConfigurationError(f"checkpoint interval must be >= 1: {interval}")
-    with obs.span("golden.record"):
-        return _record_golden_store(context, warm, interval)
-
-
-def _record_golden_store(
-    context: CampaignContext, warm: WarmProcess, interval: int
-) -> GoldenStore:
-    checker = warm.fresh_checker(context)
-    recorder = _FetchRecorder()
-    simulator = FuncSim(
-        context.program,
-        monitor=checker,
-        fetch_hook=recorder,
-        inputs=context.inputs,
-        max_instructions=context.instruction_budget,
-        decode_cache=warm.decode_cache,
-        collect_trace=True,
-    )
-    memory = _ReadRecordingMemory(
-        simulator.state.memory,
-        context.program.text_start,
-        context.program.text_end,
-    )
-    simulator.state.memory = memory
-    handler = checker.handler
-    checkpoints = [
-        Checkpoint(0, simulator.snapshot(), checker.snapshot(), handler.snapshot())
-    ]
-    mark = interval
-    while True:
-        result = simulator.run(until=mark)
-        if result.finished:
-            break
-        checkpoints.append(
-            Checkpoint(
-                result.instructions,
-                simulator.snapshot(),
-                checker.snapshot(),
-                handler.snapshot(),
-            )
+    with obs.span(f"{label}.record"):
+        recorder = _FetchRecorder()
+        simulator.fetch_hook = recorder
+        memory = _ReadRecordingMemory(
+            simulator.state.memory,
+            context.program.text_start,
+            context.program.text_end,
         )
-        mark += interval
+        simulator.state.memory = memory
+        checkpoints = [_checkpoint(simulator, 0)]
+        mark = interval
+        while True:
+            result = simulator.run(until=mark)
+            if result.finished:
+                break
+            checkpoints.append(_checkpoint(simulator, recorder.fetches))
+            mark += interval
     if (
         result.console != context.golden_console
         or result.exit_code != context.golden_exit
@@ -268,8 +282,8 @@ def _record_golden_store(
     for address, reads in memory.word_reads.items():
         if reads > fetch_counts.get(address, 0):
             unsafe.add(address)
-    obs.count("golden.stores_recorded")
-    obs.count("golden.checkpoints", len(checkpoints))
+    obs.count(f"{label}.stores_recorded")
+    obs.count(f"{label}.checkpoints", len(checkpoints))
     return GoldenStore(
         context=context,
         warm=warm,
@@ -285,219 +299,174 @@ def _record_golden_store(
     )
 
 
-def _delivery_ordinal(store: GoldenStore, persistents, transients) -> int | None:
-    """First golden fetch ordinal at which any part corrupts the pipeline.
+def build_golden_store(
+    context: CampaignContext,
+    warm: WarmProcess | None = None,
+    interval: int | None = None,
+) -> GoldenStore:
+    """Record the monitored golden run on :class:`FuncSim`
+    (:func:`record_store`), with its block trace."""
+    warm = warm or WarmProcess.from_context(context)
+    simulator = FuncSim(
+        context.program,
+        monitor=warm.fresh_checker(context),
+        inputs=context.inputs,
+        max_instructions=context.instruction_budget,
+        decode_cache=warm.decode_cache,
+        collect_trace=True,
+    )
+    return record_store(context, warm, interval, simulator, "golden")
 
-    ``None`` means no part can ever deliver: the faulty run replays the
-    golden run to completion.  Until the returned ordinal, the faulty run
-    and the golden run are identical by construction, so ordinals read off
-    the golden recording are exact for the faulty run too.
+
+def plan_fork(store: GoldenStore, fault) -> tuple[tuple, tuple, int] | None:
+    """Plan one injection: ``(persistents, transients, delivery)``.
+
+    *delivery* is the first golden fetch ordinal at which any part
+    corrupts the pipeline.  Until then the faulty run and the golden run
+    are identical by construction, so ordinals read off the recording are
+    exact for the faulty run too.  Unsafe targets and transient parts
+    that cannot ``seek`` fork at zero, which is delivery ordinal 1.
+    ``None`` means no part can ever deliver and no data read sees the
+    corruption: the faulty run replays the golden run to completion.
     """
-    earliest: int | None = None
-
-    def consider(ordinal: int) -> None:
-        nonlocal earliest
-        if earliest is None or ordinal < earliest:
-            earliest = ordinal
-
+    persistents, transients = split_perturbation(fault)
+    delivery: int | None = None
     for part in persistents:
         for address in part.target_addresses():
             ordinals = store.fetch_ordinals.get(address)
-            if ordinals:
-                consider(ordinals[0])
+            if ordinals and (delivery is None or ordinals[0] < delivery):
+                delivery = ordinals[0]
     for part in transients:
         occurrence = getattr(part, "occurrence", 1)
         for address in part.target_addresses():
             ordinals = store.fetch_ordinals.get(address, ())
-            if len(ordinals) >= occurrence:
-                consider(ordinals[occurrence - 1])
-    return earliest
+            if len(ordinals) >= occurrence and (
+                delivery is None or ordinals[occurrence - 1] < delivery
+            ):
+                delivery = ordinals[occurrence - 1]
+    unsafe = any(
+        address in store.unsafe_words
+        for part in persistents
+        for address in part.target_addresses()
+    )
+    if unsafe or (
+        delivery is not None
+        and not all(hasattr(part, "seek") for part in transients)
+    ):
+        delivery = 1
+    if delivery is None:
+        return None
+    return persistents, transients, delivery
 
 
-def _apply_transient_position(store, transients, fork_instructions: int) -> None:
-    """Put transient fetch counters where the golden run left them.
+def seek_transients(store: GoldenStore, transients, fetches: int) -> None:
+    """Put transient fetch counters where the golden run left them after
+    its first *fetches* fetches.
 
-    At *fork_instructions* the faulty run is still pristine, so the golden
-    recording's per-address fetch counts are exact for it.
+    At the fork the faulty run is still pristine, so the recording's
+    per-address fetch counts are exact for it.  A fork at zero — the only
+    fork a part that cannot ``seek`` gets — keeps the counters
+    :func:`~repro.faults.campaign.make_probe` reset.
     """
-    if fork_instructions == 0:
-        for part in transients:
-            reset = getattr(part, "reset", None)
-            if reset is not None:
-                reset()
+    if not fetches:
         return
     counts = store.fetch_counts_at(
-        fork_instructions,
+        fetches,
         [address for part in transients for address in part.target_addresses()],
     )
     for part in transients:
         part.seek(counts)
 
 
-def run_one_golden(store: GoldenStore, fault) -> FaultResult:
-    """Classify one injection by forking the golden run at the fault.
-
-    Produces the identical :class:`FaultResult` (outcome, detail, and
-    detection latency) as ``run_one(store.context, fault)`` — asserted by
-    the differential tests — while executing only the instructions after
-    the nearest checkpoint.
-    """
-    context = store.context
-    persistents, transients = split_perturbation(fault)
-    unsafe = any(
-        address in store.unsafe_words
-        for part in persistents
-        for address in part.target_addresses()
-    )
-    delivery = _delivery_ordinal(store, persistents, transients)
-    if delivery is None and not unsafe:
-        # No fetch ever delivers the corruption and no data read sees it:
-        # the faulty run is the golden run, byte for byte.
-        obs.count("golden.benign_free")
-        return FaultResult(fault, Outcome.BENIGN, "")
-    seekable = all(hasattr(part, "seek") for part in transients)
-    obs.count("golden.fork")
-    if unsafe or not seekable:
-        obs.count("golden.fork_at_zero")
-        checkpoint = store.checkpoints[0]
-    else:
-        checkpoint = store.checkpoint_before(delivery)
-    checker = store.warm.fresh_checker(context)
-    checker.restore(checkpoint.checker)
-    checker.handler.restore(checkpoint.handler)
-    probe = make_probe(persistents, transients)
-    simulator = FuncSim(
-        context.program,
-        monitor=checker,
-        fetch_hook=probe,
-        max_instructions=context.instruction_budget,
-        decode_cache=store.warm.decode_cache,
-        hang_detector=context.golden_instructions,
-    )
-    simulator.restore(checkpoint.sim)
-    _apply_transient_position(store, transients, checkpoint.instructions)
-    for part in persistents:
-        part.apply_to_memory(simulator.state.memory)
-    return classify_run(context, fault, simulator, probe)
-
-
 def run_batch_golden(store: GoldenStore, faults) -> list[FaultResult]:
-    """Classify a batch of injections, amortizing the pristine prefix.
+    """Classify a batch of injections on :class:`FuncSim`.
 
-    Semantically ``[run_one_golden(store, f) for f in faults]`` — the
-    differential tests pin outcome, detail, and latency per element — but
-    built for throughput:
+    Element for element the identical :class:`FaultResult` (outcome,
+    detail, and detection latency) as ``run_one(store.context, fault)``
+    — the differential tests pin this — but built for throughput:
 
-    * **Prefix sharing.**  Faults are planned (delivery ordinal, unsafe
-      flag) and executed in delivery order.  One *advancer* simulator
-      replays the monitored pristine run forward, jumping via the nearest
-      store checkpoint whenever that is ahead of its position, and parks
-      exactly one instruction before each fault's first corrupted fetch.
+    * **Prefix sharing.**  Faults are planned (:func:`plan_fork`) and
+      executed in delivery order.  One *advancer* simulator replays the
+      monitored pristine run forward, jumping via the nearest store
+      checkpoint whenever that is ahead of its position, and parks
+      exactly one instruction before each fault's first corrupted fetch
+      (a :class:`FuncSim` fetch ordinal is an instruction ordinal).
       Faults delivered at the same ordinal share one micro-snapshot, and
       nearby fork points reuse the advanced prefix instead of re-running
-      it from the last coarse checkpoint (the dominant cost of
-      :func:`run_one_golden` at small checkpoint budgets).
+      it from the last coarse checkpoint (the dominant cost of per-fault
+      forking at small checkpoint budgets).
     * **Object reuse.**  One runner simulator and one checker serve the
       whole batch; per fault they are restored from the micro-snapshot
-      (restores are complete by construction — see
-      ``tests/pipeline/test_snapshot.py``), so per-injection allocation
-      drops out of the hot loop.
+      (:func:`restore_checkpoint`), so per-injection allocation drops
+      out of the hot loop.
 
     Soundness: until the delivery ordinal the faulty run *is* the golden
     run, so parking the fork at ``delivery - 1`` changes nothing the
     classification can observe; detection latency is a fetch-ordinal
-    difference and is fork-point invariant.  Unsafe targets (text read as
-    data / stored to) and non-seekable transients take the
-    :func:`run_one_golden` path unchanged.
+    difference and is fork-point invariant.  A fork at zero (delivery 1)
+    parks at instruction zero.
     """
     context = store.context
     results: list[FaultResult | None] = [None] * len(faults)
     planned: list[tuple[int, object, tuple, tuple, int]] = []
     for index, fault in enumerate(faults):
-        persistents, transients = split_perturbation(fault)
-        unsafe = any(
-            address in store.unsafe_words
-            for part in persistents
-            for address in part.target_addresses()
-        )
-        delivery = _delivery_ordinal(store, persistents, transients)
-        if delivery is None and not unsafe:
+        plan = plan_fork(store, fault)
+        if plan is None:
             obs.count("golden.benign_free")
             results[index] = FaultResult(fault, Outcome.BENIGN, "")
-        elif unsafe or not all(hasattr(part, "seek") for part in transients):
-            obs.count("golden.batch.fallback")
-            results[index] = run_one_golden(store, fault)
         else:
-            planned.append((index, fault, persistents, transients, delivery))
+            planned.append((index, fault, *plan))
     if not planned:
         return results
     planned.sort(key=lambda plan: plan[4])
 
-    advancer_checker = store.warm.fresh_checker(context)
     advancer = FuncSim(
         context.program,
-        monitor=advancer_checker,
+        monitor=store.warm.fresh_checker(context),
         max_instructions=context.instruction_budget,
         decode_cache=store.warm.decode_cache,
     )
-    advancer_position: int | None = None  # None until first restore
-
-    runner_checker = store.warm.fresh_checker(context)
+    position = -1  # the advancer's instruction count; -1 until restored
     runner = FuncSim(
         context.program,
-        monitor=runner_checker,
+        monitor=store.warm.fresh_checker(context),
         max_instructions=context.instruction_budget,
         decode_cache=store.warm.decode_cache,
         hang_detector=context.golden_instructions,
     )
 
-    micro_at: int | None = None
-    micro: tuple | None = None
+    micro: Checkpoint | None = None
     for index, fault, persistents, transients, delivery in planned:
         obs.count("golden.batch.fork")
         fork = delivery - 1
-        if micro_at != fork:
+        if micro is None or micro.instructions != fork:
             checkpoint = store.checkpoint_before(delivery)
-            # Prefix accounting: per-fault forking would replay from the
-            # coarse checkpoint every time; the advancer replays only the
-            # gap from wherever it already stands.
-            naive_prefix = max(fork - checkpoint.instructions, 0)
-            if advancer_position is None or advancer_position > fork:
-                # First use, or a fallback run_one_golden interleaved a
-                # rewind: jump back via the coarse checkpoint.
-                advancer.restore(checkpoint.sim)
-                advancer_checker.restore(checkpoint.checker)
-                advancer_checker.handler.restore(checkpoint.handler)
-                advancer_position = checkpoint.instructions
-            elif checkpoint.instructions > advancer_position:
+            if checkpoint.instructions > position:
                 # A coarse checkpoint is ahead of the advancer: jumping
                 # beats replaying, and keeps the batch no slower than
                 # per-fault forking.
-                advancer.restore(checkpoint.sim)
-                advancer_checker.restore(checkpoint.checker)
-                advancer_checker.handler.restore(checkpoint.handler)
-                advancer_position = checkpoint.instructions
-            replayed = max(fork - advancer_position, 0)
-            if fork > advancer_position:
+                restore_checkpoint(advancer, checkpoint)
+                position = checkpoint.instructions
+            # Prefix accounting: per-fault forking would replay from the
+            # coarse checkpoint every time; the advancer replays only the
+            # gap from wherever it already stands.
+            replayed = fork - position
+            if replayed:
                 advancer.run(until=fork)
-                advancer_position = fork
+                position = fork
             obs.count("golden.batch.micro_snapshots")
             obs.count("golden.batch.prefix_replayed", replayed)
-            obs.count("golden.batch.prefix_saved", naive_prefix - replayed)
-            micro = (
-                advancer.snapshot(),
-                advancer_checker.snapshot(),
-                advancer_checker.handler.snapshot(),
+            obs.count(
+                "golden.batch.prefix_saved",
+                fork - checkpoint.instructions - replayed,
             )
-            micro_at = fork
+            micro = _checkpoint(advancer, fork)
         else:
             obs.count("golden.batch.micro_reuse")
         probe = make_probe(persistents, transients)
         runner.fetch_hook = probe
-        runner.restore(micro[0])
-        runner_checker.restore(micro[1])
-        runner_checker.handler.restore(micro[2])
-        _apply_transient_position(store, transients, fork)
+        restore_checkpoint(runner, micro)
+        seek_transients(store, transients, fork)
         for part in persistents:
             part.apply_to_memory(runner.state.memory)
         results[index] = classify_run(context, fault, runner, probe)

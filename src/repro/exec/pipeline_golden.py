@@ -10,14 +10,16 @@ slots and all — so the design-space explorer can score cycle overhead
 per penalty model by *measurement* instead of the (exact, but analytic)
 Table-1 accounting, and tampered runs can be costed in real cycles.
 
-The mechanics mirror the functional golden store with one twist: the
-pipeline fetches *speculatively* (a wrong-path slot is fetched, latched,
-and squashed), so fetch ordinals live in fetch-sequence space rather than
-instruction space.  The recording run therefore keeps, per checkpoint,
-the number of fetch-hook invocations at the snapshot boundary, and
-delivery planning / transient ``seek`` both bisect in that space.  Until
-the first transformed fetch the faulty machine replays the pristine one
-cycle for cycle, so ordinals read off the recording are exact.
+The store, its record loop, the fork planner and the transient seek are
+:mod:`repro.exec.golden`'s, with one twist the shared
+:class:`~repro.exec.golden.Checkpoint` carries: the pipeline fetches
+*speculatively* (a wrong-path slot is fetched, latched, and squashed), so
+fetch ordinals live in fetch-sequence space rather than instruction
+space, and each checkpoint keeps the number of fetch-hook invocations at
+its boundary.  Delivery planning and transient ``seek`` both bisect in
+that space.  Until the first transformed fetch the faulty machine
+replays the pristine one cycle for cycle, so ordinals read off the
+recording are exact.
 
 ``HANG`` classification cannot rely on :class:`FuncSim`'s instruction
 budget: the pipeline bounds cycles, not instructions.  The kernels here
@@ -33,117 +35,43 @@ against full :class:`PipelineCPU` replay — outcome, detail, latency,
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass, field
-
-from repro.errors import (
-    ConfigurationError,
-    DecodingError,
-    MemoryAccessError,
-    MonitorViolation,
-    SimulationError,
-)
 from repro.obs import core as obs
 from repro.faults.campaign import (
     CampaignContext,
     FaultResult,
     Outcome,
     WarmProcess,
+    classify_run,
     make_probe,
     split_perturbation,
 )
 from repro.exec.golden import (
-    DEFAULT_CHECKPOINT_COUNT,
-    MIN_CHECKPOINT_INTERVAL,
-    _ReadRecordingMemory,
-    checkpoint_interval,
+    GoldenStore,
+    plan_fork,
+    record_store,
+    restore_checkpoint,
+    seek_transients,
 )
-from repro.pipeline.cpu import PipelineCPU, PipelineSnapshot
-
-
-@dataclass(frozen=True, slots=True)
-class PipelineCheckpoint:
-    """One restore point: machine, monitor, and the fetch-stream position."""
-
-    instructions: int
-    #: Fetch-hook invocations (speculative slots included) at the boundary.
-    fetches: int
-    sim: PipelineSnapshot
-    checker: tuple
-    handler: tuple
-
-
-class _PipelineFetchRecorder:
-    """Fetch hook for the recording run: ordinals in fetch-sequence space."""
-
-    __slots__ = ("ordinals", "fetches")
-
-    def __init__(self) -> None:
-        self.ordinals: dict[int, list[int]] = {}
-        self.fetches = 0
-
-    def __call__(self, address: int, word: int) -> int:
-        self.fetches += 1
-        self.ordinals.setdefault(address, []).append(self.fetches)
-        return word
-
-
-@dataclass(slots=True)
-class PipelineGoldenStore:
-    """Everything one worker needs to fork cycle-level injections."""
-
-    context: CampaignContext
-    warm: WarmProcess
-    checkpoints: list[PipelineCheckpoint]
-    #: 1-based fetch-sequence ordinals at which each address was fetched.
-    fetch_ordinals: dict[int, tuple[int, ...]]
-    unsafe_words: frozenset[int]
-    golden_instructions: int
-    #: Measured cycles of the monitored pristine run — the quantity the
-    #: analytic Table-1 accounting predicts, here measured per penalty.
-    golden_cycles: int
-    interval: int
-    #: Fetch counts of ``checkpoints``, for bisection in fetch space.
-    _marks: list[int] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        self._marks = [checkpoint.fetches for checkpoint in self.checkpoints]
-
-    def checkpoint_before(self, fetch_ordinal: int) -> PipelineCheckpoint:
-        """The latest checkpoint strictly before fetch *fetch_ordinal*."""
-        index = bisect_right(self._marks, fetch_ordinal - 1) - 1
-        return self.checkpoints[max(index, 0)]
-
-    def fetch_counts_at(self, fetches: int, addresses) -> dict[int, int]:
-        """Recorded fetches of each address among the first *fetches*."""
-        counts: dict[int, int] = {}
-        for address in addresses:
-            ordinals = self.fetch_ordinals.get(address)
-            if ordinals:
-                counts[address] = bisect_right(ordinals, fetches)
-        return counts
+from repro.pipeline.cpu import PipelineCPU
 
 
 def _fresh_cpu(
-    context: CampaignContext, warm: WarmProcess, fetch_hook, collect_trace=False
-) -> tuple[PipelineCPU, object]:
-    checker = warm.fresh_checker(context)
-    cpu = PipelineCPU(
+    context: CampaignContext, warm: WarmProcess, fetch_hook=None
+) -> PipelineCPU:
+    return PipelineCPU(
         context.program,
-        monitor=checker,
+        monitor=warm.fresh_checker(context),
         fetch_hook=fetch_hook,
         inputs=context.inputs,
         decode_cache=warm.decode_cache,
-        collect_trace=collect_trace,
     )
-    return cpu, checker
 
 
 def build_pipeline_golden_store(
     context: CampaignContext,
     warm: WarmProcess | None = None,
     interval: int | None = None,
-) -> PipelineGoldenStore:
+) -> GoldenStore:
     """Record the monitored pristine run on the cycle-level pipeline.
 
     Costs one monitored :class:`PipelineCPU` run plus the snapshot
@@ -151,73 +79,10 @@ def build_pipeline_golden_store(
     measured cycle count is kept as ``golden_cycles``.
     """
     warm = warm or WarmProcess.from_context(context)
-    if interval is None:
-        interval = checkpoint_interval(context.golden_instructions)
-    if interval < 1:
-        raise ConfigurationError(f"checkpoint interval must be >= 1: {interval}")
-    with obs.span("pipeline_golden.record"):
-        return _record_pipeline_store(context, warm, interval)
-
-
-def _record_pipeline_store(
-    context: CampaignContext, warm: WarmProcess, interval: int
-) -> PipelineGoldenStore:
-    recorder = _PipelineFetchRecorder()
-    cpu, checker = _fresh_cpu(context, warm, recorder)
-    memory = _ReadRecordingMemory(
-        cpu.state.memory, context.program.text_start, context.program.text_end
-    )
-    cpu.state.memory = memory
-    handler = checker.handler
-    checkpoints = [
-        PipelineCheckpoint(
-            0, 0, cpu.snapshot(), checker.snapshot(), handler.snapshot()
-        )
-    ]
-    mark = interval
-    while True:
-        result = cpu.run(until=mark)
-        if result.finished:
-            break
-        checkpoints.append(
-            PipelineCheckpoint(
-                result.instructions,
-                recorder.fetches,
-                cpu.snapshot(),
-                checker.snapshot(),
-                handler.snapshot(),
-            )
-        )
-        mark += interval
-    if (
-        result.console != context.golden_console
-        or result.exit_code != context.golden_exit
-    ):  # pragma: no cover - invariant
-        raise ConfigurationError(
-            "monitored pipeline golden run diverged from the recorded reference"
-        )
-    fetch_counts = {
-        address: len(ordinals) for address, ordinals in recorder.ordinals.items()
-    }
-    unsafe = set(memory.touched_words)
-    for address, reads in memory.word_reads.items():
-        if reads > fetch_counts.get(address, 0):
-            unsafe.add(address)
-    obs.count("pipeline_golden.stores_recorded")
-    obs.count("pipeline_golden.checkpoints", len(checkpoints))
-    return PipelineGoldenStore(
-        context=context,
-        warm=warm,
-        checkpoints=checkpoints,
-        fetch_ordinals={
-            address: tuple(ordinals)
-            for address, ordinals in recorder.ordinals.items()
-        },
-        unsafe_words=frozenset(unsafe),
-        golden_instructions=result.instructions,
-        golden_cycles=result.cycles,
-        interval=interval,
-    )
+    cpu = _fresh_cpu(context, warm)
+    store = record_store(context, warm, interval, cpu, "pipeline_golden")
+    store.golden_cycles = cpu.cycles
+    return store
 
 
 def classify_pipeline_run(
@@ -225,61 +90,16 @@ def classify_pipeline_run(
 ) -> FaultResult:
     """Run a prepared, injected pipeline and classify its outcome.
 
-    The cycle-level twin of :func:`repro.faults.campaign.classify_run`:
-    same taxonomy and detail conventions, but the instruction budget is
-    enforced through ``run(until=...)`` (the pipeline has no instruction
-    limit of its own) and every verdict carries the measured cycle count
-    at the moment it was reached.
+    :func:`~repro.faults.campaign.classify_run` with the instruction
+    budget enforced through ``run(until=...)`` (the pipeline has no
+    instruction limit of its own), and every verdict carrying the
+    measured cycle count at the moment it was reached.
     """
-    budget = context.instruction_budget
-    try:
-        result = cpu.run(until=budget)
-        if not result.finished:
-            return FaultResult(
-                fault,
-                Outcome.HANG,
-                f"instruction limit {budget} exceeded",
-                cycles=cpu.cycles,
-            )
-    except MonitorViolation as error:
-        return FaultResult(
-            fault, Outcome.DETECTED_CIC, str(error), probe.latency(), cpu.cycles
-        )
-    except DecodingError as error:
-        return FaultResult(
-            fault,
-            Outcome.DETECTED_BASELINE,
-            str(error),
-            probe.latency(),
-            cpu.cycles,
-        )
-    except MemoryAccessError as error:
-        return FaultResult(
-            fault,
-            Outcome.DETECTED_BASELINE,
-            str(error),
-            probe.latency(),
-            cpu.cycles,
-        )
-    except SimulationError as error:
-        if "limit" in str(error) and "exceeded" in str(error):
-            # The cycle ceiling is a secondary guard; report the same
-            # canonical budget detail as every other backend.
-            return FaultResult(
-                fault,
-                Outcome.HANG,
-                f"instruction limit {budget} exceeded",
-                cycles=cpu.cycles,
-            )
-        return FaultResult(fault, Outcome.CRASHED, str(error), cycles=cpu.cycles)
-    if (
-        result.console == context.golden_console
-        and result.exit_code == context.golden_exit
-    ):
-        return FaultResult(fault, Outcome.BENIGN, "", cycles=result.cycles)
-    return FaultResult(
-        fault, Outcome.SDC, "output differs from golden run", cycles=result.cycles
+    result = classify_run(
+        context, fault, cpu, probe, until=context.instruction_budget
     )
+    result.cycles = cpu.cycles
+    return result
 
 
 def run_one_pipeline(
@@ -289,137 +109,55 @@ def run_one_pipeline(
     pinned against (and the pipeline twin of ``run_one``)."""
     warm = warm or WarmProcess.from_context(context)
     persistents, transients = split_perturbation(fault)
-    for part in transients:
-        reset = getattr(part, "reset", None)
-        if reset is not None:
-            reset()
     probe = make_probe(persistents, transients)
-    cpu, _checker = _fresh_cpu(context, warm, probe)
+    cpu = _fresh_cpu(context, warm, probe)
     for part in persistents:
         part.apply_to_memory(cpu.state.memory)
     return classify_pipeline_run(context, fault, cpu, probe)
 
 
-def _plan_fork(
-    store: PipelineGoldenStore, fault
-) -> tuple[tuple, tuple, PipelineCheckpoint] | None:
-    """Pick the fork checkpoint for *fault*; ``None`` means benign-by-plan.
-
-    ``None`` covers perturbations that are never fetched (even
-    speculatively) and never read as data: the faulty run is the recorded
-    pristine run, measured cycles included.
-    """
-    persistents, transients = split_perturbation(fault)
-    unsafe = any(
-        address in store.unsafe_words
-        for part in persistents
-        for address in part.target_addresses()
-    )
-    earliest: int | None = None
-    for part in persistents:
-        for address in part.target_addresses():
-            ordinals = store.fetch_ordinals.get(address)
-            if ordinals and (earliest is None or ordinals[0] < earliest):
-                earliest = ordinals[0]
-    for part in transients:
-        occurrence = getattr(part, "occurrence", 1)
-        for address in part.target_addresses():
-            ordinals = store.fetch_ordinals.get(address, ())
-            if len(ordinals) >= occurrence and (
-                earliest is None or ordinals[occurrence - 1] < earliest
-            ):
-                earliest = ordinals[occurrence - 1]
-    if earliest is None and not unsafe:
-        return None
-    seekable = all(hasattr(part, "seek") for part in transients)
-    if unsafe or not seekable:
-        checkpoint = store.checkpoints[0]
-    else:
-        checkpoint = store.checkpoint_before(earliest)
-    return persistents, transients, checkpoint
+def run_one_pipeline_golden(store: GoldenStore, fault) -> FaultResult:
+    """Classify one injection by forking the recorded pipeline at the
+    fault: :func:`run_batch_pipeline_golden` on a batch of one."""
+    return run_batch_pipeline_golden(store, [fault])[0]
 
 
-def _run_fork(
-    store: PipelineGoldenStore, fault, plan, cpu: PipelineCPU, checker
-) -> FaultResult:
-    """Execute one planned fork on a (possibly reused) machine/monitor pair.
-
-    The restores are complete — every mutable field of the pipeline, the
-    checker, and the OS handler is covered by the snapshot protocol — so
-    a machine that just finished (or crashed out of) another injection is
-    indistinguishable from a fresh one.
-    """
-    persistents, transients, checkpoint = plan
-    probe = make_probe(persistents, transients)
-    cpu.fetch_hook = probe
-    checker.restore(checkpoint.checker)
-    checker.handler.restore(checkpoint.handler)
-    cpu.restore(checkpoint.sim)
-    if checkpoint.fetches == 0:
-        for part in transients:
-            reset = getattr(part, "reset", None)
-            if reset is not None:
-                reset()
-    else:
-        counts = store.fetch_counts_at(
-            checkpoint.fetches,
-            [
-                address
-                for part in transients
-                for address in part.target_addresses()
-            ],
-        )
-        for part in transients:
-            part.seek(counts)
-    for part in persistents:
-        part.apply_to_memory(cpu.state.memory)
-    return classify_pipeline_run(store.context, fault, cpu, probe)
-
-
-def run_one_pipeline_golden(store: PipelineGoldenStore, fault) -> FaultResult:
-    """Classify one injection by forking the recorded pipeline at the fault.
-
-    Produces the identical :class:`FaultResult` — outcome, detail,
-    latency, and measured cycles — as :func:`run_one_pipeline`, while
-    executing only the cycles after the nearest checkpoint.
-    """
-    plan = _plan_fork(store, fault)
-    if plan is None:
-        obs.count("pipeline_golden.benign_by_plan")
-        return FaultResult(fault, Outcome.BENIGN, "", cycles=store.golden_cycles)
-    obs.count("pipeline_golden.fork")
-    cpu, checker = _fresh_cpu(store.context, store.warm, None)
-    return _run_fork(store, fault, plan, cpu, checker)
-
-
-def run_batch_pipeline_golden(
-    store: PipelineGoldenStore, faults
-) -> list[FaultResult]:
+def run_batch_pipeline_golden(store: GoldenStore, faults) -> list[FaultResult]:
     """Classify a batch of injections on one reused machine/monitor pair.
 
-    Semantically ``[run_one_pipeline_golden(store, f) for f in faults]``
-    (pinned by the differential tests), with the per-injection
-    :class:`PipelineCPU` + checker construction hoisted out of the loop.
-    Unlike the functional :func:`repro.exec.golden.run_batch_golden`, no
-    prefix sharing is attempted: fork ordinals live in fetch-*sequence*
-    space (speculative slots included), which ``run(until=instructions)``
-    cannot address, so the coarse store checkpoints are already the best
-    fork points available.
+    Element for element the identical :class:`FaultResult` — outcome,
+    detail, latency, and measured cycles — as :func:`run_one_pipeline`,
+    while executing only the cycles after the nearest checkpoint.  Unlike
+    the functional :func:`repro.exec.golden.run_batch_golden`, no prefix
+    sharing is attempted: fork ordinals live in fetch-*sequence* space
+    (speculative slots included), which ``run(until=instructions)``
+    cannot address, so each fault forks at ``checkpoint_before(delivery)``
+    — checkpoint 0 for a fork at zero.
     """
-    cpu = checker = None
+    cpu = None
     results = []
     for fault in faults:
-        plan = _plan_fork(store, fault)
+        plan = plan_fork(store, fault)
         if plan is None:
+            # The faulty run is the recorded pristine run, measured
+            # cycles included.
             obs.count("pipeline_golden.benign_by_plan")
             results.append(
                 FaultResult(fault, Outcome.BENIGN, "", cycles=store.golden_cycles)
             )
             continue
+        persistents, transients, delivery = plan
         obs.count("pipeline_golden.fork")
         if cpu is None:
-            cpu, checker = _fresh_cpu(store.context, store.warm, None)
+            cpu = _fresh_cpu(store.context, store.warm)
         else:
             obs.count("pipeline_golden.machine_reuse")
-        results.append(_run_fork(store, fault, plan, cpu, checker))
+        checkpoint = store.checkpoint_before(delivery)
+        probe = make_probe(persistents, transients)
+        cpu.fetch_hook = probe
+        restore_checkpoint(cpu, checkpoint)
+        seek_transients(store, transients, checkpoint.fetches)
+        for part in persistents:
+            part.apply_to_memory(cpu.state.memory)
+        results.append(classify_pipeline_run(store.context, fault, cpu, probe))
     return results

@@ -10,8 +10,8 @@ module only contributes the campaign-shaped pieces:
 
 * :class:`CampaignWorkspaceFactory` — builds one :class:`Workspace` per
   worker from the picklable :class:`~repro.exec.spec.CampaignSpec`
-  (simulators never cross process boundaries), executes one injection
-  through the spec's registered backend
+  (simulators never cross process boundaries), executes each shard
+  through the batch kernel of the spec's registered backend
   (:mod:`repro.exec.backends`: ``full`` replay, ``golden`` fork-at-fault,
   or cycle-measuring ``pipeline-golden``), and translates
   :class:`~repro.exec.records.FaultRecord` to and from the JSONL wire;
@@ -125,16 +125,9 @@ class Workspace:
             state=backend.prepare(context, warm),
         )
 
-    def run_fault(self, fault) -> FaultResult:
-        return self.backend.run(self.state, fault)
-
     def run_batch(self, faults: list) -> list[FaultResult]:
-        """Classify *faults* through the backend's batched kernel.
-
-        Element-for-element identical to ``[self.run_fault(f) for f in
-        faults]`` (the backends pin this differentially); the batched
-        kernels amortize prefix replay and object construction.
-        """
+        """Classify *faults* through the backend's batched kernel; a
+        single fault is a batch of one."""
         return self.backend.run_batch(self.state, faults)
 
 
@@ -143,9 +136,9 @@ class CampaignWorkspaceFactory(WorkspaceFactory):
     """The campaign client: spec-derived workspaces, FaultRecord wire."""
 
     spec: CampaignSpec
-    #: Faults per batched-kernel call; ``None`` dispatches per item.  An
-    #: execution knob like ``workers`` — never serialized into headers,
-    #: so artifacts stay byte-identical across batch plans.
+    #: Faults per batched-kernel call; ``None`` hands the kernel whole
+    #: shards.  An execution knob like ``workers`` — never serialized
+    #: into headers, so artifacts stay byte-identical across batch plans.
     batch_size: int | None = None
 
     record_type = "record"
@@ -161,13 +154,6 @@ class CampaignWorkspaceFactory(WorkspaceFactory):
         the backend's prepared state (checkpoint stores included)."""
         return workspace
 
-    def run_item(
-        self, workspace: Workspace, index: int, shard: int, item
-    ) -> FaultRecord:
-        result = workspace.run_fault(item)
-        obs.count(f"outcome.{result.outcome.value}")
-        return FaultRecord.from_result(index, shard, result)
-
     def run_items(
         self, workspace: Workspace, start: int, shard: int, items: list
     ) -> list[FaultRecord]:
@@ -175,7 +161,7 @@ class CampaignWorkspaceFactory(WorkspaceFactory):
 
         With no ``batch_size`` the whole shard is one batch; otherwise
         the shard is cut into ``batch_size`` slices.  Either way the
-        records are exactly what the per-item path yields — pinned by
+        records are exactly what batches of one yield — pinned by
         ``tests/exec/test_scaling_invariants.py``.
         """
         size = self.batch_size or len(items)

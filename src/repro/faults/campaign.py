@@ -27,9 +27,10 @@ on the executed instructions/basic blocks can be detected").
 The single-fault kernel is :func:`run_one`: it takes a
 :class:`CampaignContext` (program + monitor configuration + golden
 reference) and one fault, runs a monitored simulation, and classifies the
-outcome.  Both the in-process :class:`FaultCampaign` and the parallel
-:class:`repro.exec.runner.CampaignRunner` execute every fault through this
-one function, so serial and pooled campaigns are bit-for-bit comparable.
+outcome.  It is the ``full`` backend and the independent oracle the
+forking backends of :mod:`repro.exec` are pinned against; every backend
+ends in the same :func:`classify_run` tail, so serial and pooled
+campaigns on any backend are bit-for-bit comparable.
 """
 
 from __future__ import annotations
@@ -39,7 +40,13 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.errors import DecodingError, MemoryAccessError, MonitorViolation, SimulationError
+from repro.errors import (
+    BudgetExceeded,
+    DecodingError,
+    MemoryAccessError,
+    MonitorViolation,
+    SimulationError,
+)
 from repro.asm.program import Program
 from repro.cfg.hashgen import build_fht
 from repro.cic.fht import FullHashTable
@@ -279,10 +286,18 @@ class WarmProcess:
 
 
 def make_probe(persistents, transients) -> FetchProbe:
-    """The fetch-path probe for one injection: tampered set + transforms."""
+    """The fetch-path probe for one injection: tampered set + transforms.
+
+    The transient parts start over at their first fetch; a kernel that
+    forks mid-run then seeks them to the fork point.
+    """
     tampered: set[int] = set()
     for part in persistents:
         tampered.update(part.target_addresses())
+    for part in transients:
+        reset = getattr(part, "reset", None)
+        if reset is not None:
+            reset()
     return FetchProbe(
         tampered,
         make_fetch_hook(transients) if transients else None,
@@ -291,41 +306,44 @@ def make_probe(persistents, transients) -> FetchProbe:
 
 
 def classify_run(
-    context: CampaignContext, fault, simulator: FuncSim, probe: FetchProbe
+    context: CampaignContext, fault, simulator, probe: FetchProbe, until=None
 ) -> FaultResult:
     """Run a prepared, injected simulation and classify its outcome.
 
-    The classification tail shared by every backend: the full-replay path
-    below and the golden-trace resume path
-    (:func:`repro.exec.golden.run_one_golden`) both end here, so outcome
-    taxonomy and detection-latency semantics cannot drift between them.
+    The classification tail shared by every backend: the full-replay
+    path below, both golden batch kernels (:mod:`repro.exec.golden`),
+    and the cycle-level pipeline
+    (:func:`repro.exec.pipeline_golden.classify_pipeline_run`) all end
+    here, so outcome taxonomy and detection-latency semantics cannot
+    drift between them.  *simulator* is a :class:`FuncSim` or a
+    :class:`~repro.pipeline.cpu.PipelineCPU`; the pipeline bounds cycles,
+    not instructions, so its callers pass ``until=instruction_budget``
+    and a run still live there is a hang by the same criterion.
     """
     try:
-        result = simulator.run()
+        result = simulator.run(until=until)
     except MonitorViolation as error:
         return FaultResult(fault, Outcome.DETECTED_CIC, str(error), probe.latency())
-    except DecodingError as error:
-        return FaultResult(
-            fault, Outcome.DETECTED_BASELINE, str(error), probe.latency()
-        )
-    except MemoryAccessError as error:
+    except (DecodingError, MemoryAccessError) as error:
         # Alignment/access machine checks are baseline hardware
         # detections, the same class as invalid-opcode traps.
         return FaultResult(
             fault, Outcome.DETECTED_BASELINE, str(error), probe.latency()
         )
+    except BudgetExceeded:
+        result = None
     except SimulationError as error:
-        if "instruction limit" in str(error):
-            # Canonical detail: the budget path reports the pc it happened
-            # to reach and the cycling detector the loop state it caught,
-            # so normalizing keeps HANG records identical across backends
-            # and detector settings.
-            return FaultResult(
-                fault,
-                Outcome.HANG,
-                f"instruction limit {context.instruction_budget} exceeded",
-            )
         return FaultResult(fault, Outcome.CRASHED, str(error))
+    if result is None or not result.finished:
+        # Canonical detail: the budget path reports the pc it happened to
+        # reach, the cycling detector the loop state it caught and the
+        # pipeline its cycle ceiling, so normalizing keeps HANG records
+        # identical across backends and detector settings.
+        return FaultResult(
+            fault,
+            Outcome.HANG,
+            f"instruction limit {context.instruction_budget} exceeded",
+        )
     if (
         result.console == context.golden_console
         and result.exit_code == context.golden_exit
@@ -356,7 +374,7 @@ def run_one(
     skips the per-injection FHT rebuild and shares the decode cache —
     identical results, a fraction of the setup cost.  The checkpointed
     resume path that additionally skips the pre-injection instructions
-    lives in :func:`repro.exec.golden.run_one_golden`.
+    lives in :func:`repro.exec.golden.run_batch_golden`.
     """
     if warm is not None:
         monitor = warm.fresh_checker(context)
@@ -371,10 +389,6 @@ def run_one(
         ).monitor
         decode_cache = None
     persistents, transients = split_perturbation(fault)
-    for part in transients:
-        reset = getattr(part, "reset", None)
-        if reset is not None:
-            reset()
     probe = make_probe(persistents, transients)
     simulator = FuncSim(
         context.program,
@@ -418,42 +432,6 @@ class FaultCampaign:
         campaign.context = context
         return campaign
 
-    @property
-    def program(self) -> Program:
-        return self.context.program
-
-    @property
-    def iht_size(self) -> int:
-        return self.context.iht_size
-
-    @property
-    def hash_name(self) -> str:
-        return self.context.hash_name
-
-    @property
-    def policy_name(self) -> str:
-        return self.context.policy_name
-
-    @property
-    def inputs(self) -> list[int] | None:
-        return self.context.inputs
-
-    @property
-    def golden_console(self) -> str:
-        return self.context.golden_console
-
-    @property
-    def golden_exit(self) -> int:
-        return self.context.golden_exit
-
-    @property
-    def executed_addresses(self) -> tuple[int, ...]:
-        return self.context.executed_addresses
-
-    @property
-    def instruction_budget(self) -> int:
-        return self.context.instruction_budget
-
     # ------------------------------------------------------------------
     # Fault generation
     # ------------------------------------------------------------------
@@ -464,9 +442,9 @@ class FaultCampaign:
         """Uniformly random single-bit persistent faults."""
         rng = random.Random(seed)
         pool = (
-            self.executed_addresses
+            self.context.executed_addresses
             if executed_only
-            else tuple(self.program.text_addresses())
+            else tuple(self.context.program.text_addresses())
         )
         return [
             BitFlipFault(rng.choice(pool), (rng.randrange(32),))
@@ -490,9 +468,9 @@ class FaultCampaign:
         """
         rng = random.Random(seed)
         pool = (
-            self.executed_addresses
+            self.context.executed_addresses
             if executed_only
-            else tuple(self.program.text_addresses())
+            else tuple(self.context.program.text_addresses())
         )
         faults: list[BitFlipFault | tuple[BitFlipFault, ...]] = []
         for _ in range(count):

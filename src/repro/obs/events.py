@@ -91,6 +91,15 @@ def resolve_events_path(path: str | os.PathLike) -> str:
     return events_path(target)
 
 
+def resolve_metrics_path(path: str | os.PathLike) -> str:
+    """The metrics artifact for *path*, whichever sibling the caller named
+    (the mirror of :func:`resolve_events_path`)."""
+    target = os.fspath(path)
+    if target.endswith(_METRICS_SUFFIX):
+        return target
+    return resolve_events_path(target)[: -len(EVENTS_SUFFIX)] + _METRICS_SUFFIX
+
+
 def _dump_line(data: dict) -> str:
     """One canonical JSONL line (same shape as the results wire format)."""
     return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"

@@ -30,7 +30,12 @@ from __future__ import annotations
 
 import os
 
-from repro.obs.events import follow_events, read_events, resolve_events_path
+from repro.obs.events import (
+    follow_events,
+    read_events,
+    resolve_events_path,
+    resolve_metrics_path,
+)
 from repro.obs.metrics import (
     METRICS_SUFFIX,
     load_metrics,
@@ -40,14 +45,19 @@ from repro.obs.metrics import (
 
 
 def find_metrics(path: str | os.PathLike) -> list[str]:
-    """Metrics files under *path*: itself if a file, else a sorted scan.
+    """Metrics files under *path*: a file's metrics artifact, else a
+    sorted scan.
 
+    A file may name the metrics artifact itself, the results file, or
+    the event log, the same siblings ``repro top`` and
+    ``--export-trace`` accept; a missing sibling finds nothing.
     Directories are scanned recursively so ``repro stats runs/`` finds
     every campaign and sweep below it.
     """
     target = os.fspath(path)
     if os.path.isfile(target):
-        return [target]
+        metrics = resolve_metrics_path(target)
+        return [metrics] if os.path.isfile(metrics) else []
     found: list[str] = []
     for root, _dirs, files in os.walk(target):
         for name in files:

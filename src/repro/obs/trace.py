@@ -27,8 +27,8 @@ import json
 import os
 
 from repro.errors import ConfigurationError
-from repro.obs.events import EVENTS_SUFFIX, read_events, resolve_events_path
-from repro.obs.metrics import METRICS_SUFFIX, load_metrics
+from repro.obs.events import read_events, resolve_events_path, resolve_metrics_path
+from repro.obs.metrics import load_metrics
 
 #: trace_event timestamps are microseconds.
 _MICROS = 1_000_000.0
@@ -191,11 +191,8 @@ def collect_sources(path: str | os.PathLike) -> tuple[dict | None, list[dict] | 
     *path* may name the results file, the metrics artifact, or the event
     log; the other siblings are derived from it.
     """
-    target = os.fspath(path)
-    events_file = resolve_events_path(target)
-    metrics_file = events_file[: -len(EVENTS_SUFFIX)] + METRICS_SUFFIX
-    if target.endswith(METRICS_SUFFIX):
-        metrics_file = target
+    events_file = resolve_events_path(path)
+    metrics_file = resolve_metrics_path(path)
     metrics = load_metrics(metrics_file) if os.path.exists(metrics_file) else None
     events = read_events(events_file) if os.path.exists(events_file) else None
     return metrics, events

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace as _copy_latch
 from typing import Callable
 
-from repro.errors import MemoryAccessError, SimulationError
+from repro.errors import BudgetExceeded, MemoryAccessError, SimulationError
 from repro.asm.program import Program
 from repro.pipeline import semantics
 from repro.pipeline.funcsim import Monitor, RunResult
@@ -216,7 +216,7 @@ class PipelineCPU:
                 break
             cycle = self._cycle + 1
             if cycle > self.max_cycles:
-                raise SimulationError(
+                raise BudgetExceeded(
                     f"cycle limit {self.max_cycles} exceeded", cycle=cycle
                 )
             self._cycle = cycle

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
-from repro.errors import MemoryAccessError, SimulationError
+from repro.errors import BudgetExceeded, MemoryAccessError, SimulationError
 from repro.asm.program import Program
 from repro.pipeline import semantics
 from repro.pipeline.hazards import CycleModel
@@ -240,11 +240,11 @@ class FuncSim:
         run revisits an identical architected state ``(pc, regs, hi, lo)``
         at a control transfer — with no store, syscall, or still-pending
         transient fetch transform since the first visit — the machine is
-        provably in a loop it can never leave, and the simulator raises the
-        same ``instruction limit`` error the budget path would, without
-        burning the remaining budget.  Campaign kernels arm it at the
-        golden run's instruction count so pristine-length runs never pay
-        the per-redirect bookkeeping.
+        provably in a loop it can never leave, and the simulator raises
+        the same :class:`~repro.errors.BudgetExceeded` the budget path
+        would, without burning the remaining budget.  Campaign kernels
+        arm it at the golden run's instruction count so pristine-length
+        runs never pay the per-redirect bookkeeping.
     """
 
     def __init__(
@@ -326,7 +326,7 @@ class FuncSim:
                 if until is not None and executed >= until:
                     break
                 if executed >= self.max_instructions:
-                    raise SimulationError(
+                    raise BudgetExceeded(
                         f"instruction limit {self.max_instructions} exceeded",
                         pc=state.pc,
                     )
@@ -408,7 +408,7 @@ class FuncSim:
         state = self.state
         key = (state.pc, state.hi, state.lo, tuple(state.regs))
         if key in seen:
-            raise SimulationError(
+            raise BudgetExceeded(
                 f"instruction limit {self.max_instructions} exceeded",
                 pc=state.pc,
             )

@@ -16,24 +16,24 @@ class TestControlFlowGraph:
     def test_nodes_are_partition_blocks(self):
         program = assemble(SOURCE)
         graph = control_flow_graph(program)
-        starts = {node[0] for node in graph.nodes}
+        starts = {node[0] for node in graph}
         assert program.entry in starts
         assert program.symbols["loop"] in starts
 
     def test_loop_edge_exists(self):
         program = assemble(SOURCE)
         graph = control_flow_graph(program)
-        loop_block = next(n for n in graph.nodes if n[0] == program.symbols["loop"])
-        assert graph.has_edge(loop_block, loop_block) or any(
+        loop_block = next(n for n in graph if n[0] == program.symbols["loop"])
+        assert loop_block in graph[loop_block] or any(
             successor[0] == program.symbols["loop"]
-            for successor in graph.successors(loop_block)
+            for successor in graph[loop_block]
         )
 
     def test_branch_has_two_successors(self):
         program = assemble(SOURCE)
         graph = control_flow_graph(program)
-        loop_block = next(n for n in graph.nodes if n[0] == program.symbols["loop"])
-        assert graph.out_degree(loop_block) == 2
+        loop_block = next(n for n in graph if n[0] == program.symbols["loop"])
+        assert len(graph[loop_block]) == 2
 
     def test_reachability_covers_live_code(self):
         program = assemble(SOURCE)

@@ -1,19 +1,20 @@
 """Differential pinning of the batched replay kernels.
 
 The batched kernels may only ever be a *faster* way to compute the same
-answers: ``run_batch_golden ≡ [run_one_golden] ≡ [run_one]`` on outcome,
+answers: ``run_batch_golden ≡ batches of one ≡ [run_one]`` on outcome,
 detail, and detection latency, and ``run_batch_pipeline_golden ≡
-[run_one_pipeline_golden] ≡ [run_one_pipeline]`` with measured cycles
-included.  Pinned per Outcome class (the crafted hash-escape programs of
-``tests/exec/test_outcomes.py``), per fault model, and across all ten
-attack classes — the same matrix the per-fault backends are pinned on,
-now with the whole list going through one kernel call so prefix sharing,
-micro-snapshot reuse, and simulator reuse are all exercised.
+batches of one ≡ [run_one_pipeline]`` with measured cycles included.
+Pinned per Outcome class on both simulators (the crafted hash-escape
+programs of ``tests/exec/test_outcomes.py``), per fault model, and across
+all ten attack classes, with the whole list going through one kernel
+call so prefix sharing, micro-snapshot reuse, and simulator reuse are all
+exercised.
 """
 
 from __future__ import annotations
 
 import random
+from typing import Callable, NamedTuple
 
 import pytest
 
@@ -25,10 +26,10 @@ from repro.exec import (
     CampaignSpec,
     build_golden_store,
     run_batch_golden,
-    run_one_golden,
 )
 from repro.exec.pipeline_golden import (
     build_pipeline_golden_store,
+    classify_pipeline_run,
     run_batch_pipeline_golden,
     run_one_pipeline,
     run_one_pipeline_golden,
@@ -38,10 +39,12 @@ from repro.faults.campaign import (
     Outcome,
     WarmProcess,
     build_context,
+    make_probe,
     run_one,
     same_column_pairs,
 )
 from repro.faults.models import BitFlipFault, TransientFetchFault
+from repro.pipeline.cpu import PipelineCPU
 
 SEED = 17
 
@@ -54,23 +57,40 @@ def cverdict(result):
     return (result.outcome, result.detail, result.latency, result.cycles)
 
 
-def assert_batch_equivalent(store, faults, full=True):
-    """One batch call ≡ per-fault golden ≡ full replay, element-wise."""
+class Pair(NamedTuple):
+    """One simulator's batch kernel and its independent full-replay oracle."""
+
+    build_store: Callable
+    kernel: Callable
+    oracle: Callable
+    verdict: Callable
+
+
+FUNCTIONAL = Pair(
+    build_golden_store,
+    run_batch_golden,
+    lambda store, fault: run_one(store.context, fault),
+    fverdict,
+)
+PIPELINE = Pair(
+    build_pipeline_golden_store,
+    run_batch_pipeline_golden,
+    lambda store, fault: run_one_pipeline(store.context, fault, store.warm),
+    cverdict,
+)
+
+
+def assert_batch_equivalent(store, faults, pair=FUNCTIONAL):
+    """One batch call ≡ batches of one ≡ full replay, element-wise."""
     faults = list(faults)
-    batched = run_batch_golden(store, faults)
+    batched = pair.kernel(store, faults)
     assert len(batched) == len(faults)
     for fault, batch in zip(faults, batched):
         assert batch.fault is fault
-        assert fverdict(batch) == fverdict(run_one_golden(store, fault)), fault
-        if full:
-            assert fverdict(batch) == fverdict(
-                run_one(store.context, fault)
-            ), fault
+        [alone] = pair.kernel(store, [fault])
+        assert pair.verdict(batch) == pair.verdict(alone), fault
+        assert pair.verdict(batch) == pair.verdict(pair.oracle(store, fault)), fault
     return batched
-
-
-def store_for(source: str):
-    return build_golden_store(build_context(assemble(source)), interval=4)
 
 
 class TestPerOutcome:
@@ -81,6 +101,11 @@ class TestPerOutcome:
     exercises the planner's benign short-circuit next to a planned fork.
     """
 
+    pair = FUNCTIONAL
+
+    def store_for(self, source: str):
+        return self.pair.build_store(build_context(assemble(source)), interval=4)
+
     def check(self, store, fault, expected):
         main_fetch = min(
             ordinals[0] for ordinals in store.fetch_ordinals.values()
@@ -89,15 +114,15 @@ class TestPerOutcome:
         company = TransientFetchFault(
             next(iter(store.fetch_ordinals)), (0,), occurrence=100_000
         )
-        [result] = assert_batch_equivalent(store, [fault])
+        [result] = assert_batch_equivalent(store, [fault], self.pair)
         assert result.outcome is expected
-        mixed = assert_batch_equivalent(store, [company, fault, fault])
+        mixed = assert_batch_equivalent(store, [company, fault, fault], self.pair)
         assert mixed[0].outcome is Outcome.BENIGN
         assert mixed[1].outcome is expected
-        assert fverdict(mixed[1]) == fverdict(mixed[2])
+        assert self.pair.verdict(mixed[1]) == self.pair.verdict(mixed[2])
 
     def test_detected_cic(self):
-        store = store_for("""
+        store = self.store_for("""
 main:   li $a0, 2
         li $v0, 1
         syscall
@@ -108,7 +133,7 @@ main:   li $a0, 2
         self.check(store, BitFlipFault(main, (0,)), Outcome.DETECTED_CIC)
 
     def test_detected_baseline(self):
-        store = store_for("""
+        store = self.store_for("""
 main:   li $a0, 2
         li $v0, 1
         syscall
@@ -118,7 +143,7 @@ main:   li $a0, 2
         main = store.context.program.symbols["main"]
         for bit in range(26, 32):
             if (
-                run_one(store.context, BitFlipFault(main, (bit,))).outcome
+                self.pair.oracle(store, BitFlipFault(main, (bit,))).outcome
                 is Outcome.DETECTED_BASELINE
             ):
                 self.check(
@@ -128,7 +153,7 @@ main:   li $a0, 2
         pytest.fail("no baseline-detected flip found")
 
     def test_crashed(self):
-        store = store_for("""
+        store = self.store_for("""
 main:   li $v0, 1
         li $a0, 5
         syscall
@@ -143,7 +168,7 @@ main:   li $v0, 1
         )
 
     def test_hang(self):
-        store = store_for("""
+        store = self.store_for("""
 main:   li $t0, 0
 loop:   addi $t0, $t0, 1
         li $t1, 5
@@ -159,7 +184,7 @@ loop:   addi $t0, $t0, 1
         )
 
     def test_silent_corruption(self):
-        store = store_for("""
+        store = self.store_for("""
 main:   li $t0, 1
         li $t1, 1
         addu $a0, $t0, $t1
@@ -176,7 +201,7 @@ main:   li $t0, 1
         )
 
     def test_benign_never_executed(self):
-        store = store_for("""
+        store = self.store_for("""
 main:   j live
 dead:   addu $s0, $s0, $s0
 live:   li $v0, 10
@@ -190,9 +215,10 @@ live:   li $v0, 10
 
     def test_unsafe_word_falls_back_mid_batch(self):
         """A batch mixing an unsafe-word fault (text the program stores
-        to — forked at checkpoint 0 through the per-fault path) with
-        plannable faults: the fallback must not disturb its neighbours."""
-        store = store_for("""
+        to — planned as a fork at zero, delivery ordinal 1) with
+        plannable faults: the fork at zero must not disturb its
+        neighbours."""
+        store = self.store_for("""
 main:   la   $t0, target
         lw   $t1, 0($t0)
         sw   $t1, 0($t0)     # rewrite the word about to execute
@@ -208,11 +234,40 @@ target: li   $a0, 7
         main = program.symbols["main"]
         batch = [
             BitFlipFault(main, (0,)),
-            BitFlipFault(target, (0,)),  # unsafe: run_one_golden fallback
+            BitFlipFault(target, (0,)),  # unsafe: fork at zero
             BitFlipFault(main, (1,)),
         ]
-        results = assert_batch_equivalent(store, batch)
+        results = assert_batch_equivalent(store, batch, self.pair)
         assert results[1].outcome is Outcome.DETECTED_CIC
+
+
+class TestPerOutcomePipeline(TestPerOutcome):
+    """The same crafted injections through ``run_batch_pipeline_golden``
+    ≡ ``run_one_pipeline``, measured cycles included."""
+
+    pair = PIPELINE
+
+    def test_cycle_ceiling_classifies_hang(self):
+        """The pipeline's cycle ceiling is a budget like the instruction
+        limit: HANG with the canonical detail, cycles at the ceiling."""
+        context = build_context(assemble("""
+main:   li $t0, 0
+loop:   addi $t0, $t0, 1
+        li $t1, 5
+        bne $t0, $t1, loop
+        li $v0, 10
+        syscall
+        """))
+        probe = make_probe((), ())
+        # Unmonitored, so no OS miss penalty jumps the cycle count past
+        # the ceiling.
+        cpu = PipelineCPU(context.program, fetch_hook=probe, max_cycles=20)
+        result = classify_pipeline_run(context, (), cpu, probe)
+        assert result.outcome is Outcome.HANG
+        assert result.detail == (
+            f"instruction limit {context.instruction_budget} exceeded"
+        )
+        assert result.cycles == 20
 
 
 @pytest.fixture(scope="module")
@@ -249,7 +304,7 @@ class TestFaultModels:
 
     def test_transient_occurrences(self, sha_store, sha_campaign):
         rng = random.Random(SEED + 3)
-        addresses = sha_campaign.executed_addresses
+        addresses = sha_campaign.context.executed_addresses
         batch = [
             TransientFetchFault(
                 rng.choice(addresses), (rng.randrange(32),), occurrence=occurrence
@@ -261,7 +316,7 @@ class TestFaultModels:
 
     def test_mixed_persistent_and_transient(self, sha_store, sha_campaign):
         rng = random.Random(SEED + 4)
-        addresses = sha_campaign.executed_addresses
+        addresses = sha_campaign.context.executed_addresses
         batch = [
             (
                 BitFlipFault(rng.choice(addresses), (rng.randrange(32),)),
@@ -371,7 +426,7 @@ class TestPipelineBatch:
 
     def test_transient_fetch_faults(self, pipeline_rig):
         campaign, _store = pipeline_rig
-        addresses = campaign.executed_addresses
+        addresses = campaign.context.executed_addresses
         batch = [
             TransientFetchFault(
                 addresses[offset % len(addresses)],
@@ -396,7 +451,7 @@ class TestPipelineBatch:
     def test_benign_fast_path_carries_golden_cycles(self, pipeline_rig):
         campaign, store = pipeline_rig
         never = TransientFetchFault(
-            campaign.executed_addresses[0], (0,), occurrence=1_000_000
+            campaign.context.executed_addresses[0], (0,), occurrence=1_000_000
         )
         [result] = run_batch_pipeline_golden(store, [never])
         assert result.outcome is Outcome.BENIGN

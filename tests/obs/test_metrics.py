@@ -180,6 +180,29 @@ class TestStatsCli:
         assert main(["stats", str(bad), "--check"]) == 1
         assert "missing required key" in capsys.readouterr().err
 
+    def test_stats_resolves_results_and_events_paths(self, campaign_run, capsys):
+        from repro.cli import main
+        from repro.obs.events import events_path
+
+        _result, _payload, path = campaign_run
+        results = path[: -len(".metrics.json")] + ".jsonl"
+        for sibling in (results, events_path(results)):
+            assert main(["stats", sibling, "--check"]) == 0
+            assert "campaign results: 24 items" in capsys.readouterr().out
+
+    def test_stats_refuses_a_file_that_is_not_a_metrics_artifact(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        results = tmp_path / "run.jsonl"
+        results.write_text('{"type":"header"}\n')
+        assert main(["stats", str(results)]) == 1
+        assert "no metrics files" in capsys.readouterr().err
+        (tmp_path / "run.metrics.json").write_text(results.read_text() * 2)
+        assert main(["stats", str(results)]) == 1
+        assert "not a metrics artifact" in capsys.readouterr().err
+
     def test_find_metrics(self, campaign_run, tmp_path):
         _result, _payload, path = campaign_run
         assert find_metrics(path) == [str(path)]

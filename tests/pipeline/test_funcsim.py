@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import BudgetExceeded, SimulationError
 from repro.asm.assembler import assemble
 from repro.pipeline.funcsim import FuncSim
 
@@ -191,7 +191,7 @@ class TestSyscalls:
 class TestLimitsAndHooks:
     def test_instruction_limit(self):
         program = assemble("spin: j spin")
-        with pytest.raises(SimulationError, match="instruction limit"):
+        with pytest.raises(BudgetExceeded, match="instruction limit"):
             FuncSim(program, max_instructions=100).run()
 
     def test_fetch_hook_sees_every_word(self):

@@ -63,8 +63,8 @@ class TestLease:
             6, seed=9
         )
         for fault in faults:
-            warm = leased.run_fault(fault)
-            cold = fresh.run_fault(fault)
+            [warm] = leased.run_batch([fault])
+            [cold] = fresh.run_batch([fault])
             assert warm.outcome == cold.outcome
             assert warm.detail == cold.detail
         cache.clear()

@@ -132,6 +132,30 @@ class TestVersion:
         assert f"repro {__version__}" in capsys.readouterr().out
 
 
+class TestImportFootprint:
+    def test_cli_import_skips_networkx_and_meister(self):
+        """Every process start imports the CLI; neither the undeclared
+        graph library nor the ASIP Meister flow belongs on that path."""
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        probe = (
+            "import sys, repro.cli; "
+            "print(sorted({'networkx', 'repro.meister'} & set(sys.modules)))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert done.stdout.strip() == "[]"
+
+
 class TestExitCodes:
     def test_violation_maps_to_exit_2_from_any_command(self, monkeypatch, capsys):
         def explode(args):
