@@ -67,9 +67,19 @@ harness-smoke:  ## kill -> resume on both harness clients (campaign + DSE)
 	$(PYTHON) -m repro dse sweep --preset smoke --workers 2 --seed 42 \
 	    --out results/harness_smoke_dse.jsonl --resume
 
+# The first sweep's counters show the golden stores are shared: at most
+# one recording per workload and worker (2 x 2), and one store, recorded
+# or overlaid on a recording, per measure the golden backend ran.
 dse-smoke:  ## tiny 2-worker DSE sweep through the CLI, with resume + frontier
 	$(PYTHON) -m repro dse sweep --preset smoke --workers 2 \
 	    --seed 42 --out results/dse_smoke.jsonl
+	$(PYTHON) -c "import json, sys; \
+	counters = json.load(open('results/dse_smoke.metrics.json'))['telemetry']['counters']; \
+	recorded = counters.get('golden.stores_recorded', 0); \
+	stores = recorded + counters.get('golden.stores_overlaid', 0); \
+	measures = counters.get('dse.measures', 0); \
+	print(f'dse-smoke: {recorded} recordings, {stores} stores, {measures} measures'); \
+	sys.exit(0 if 0 < recorded <= 2 * 2 and stores == measures else 1)"
 	$(PYTHON) -m repro dse sweep --preset smoke --workers 2 \
 	    --seed 42 --out results/dse_smoke.jsonl --resume
 	$(PYTHON) -m repro dse frontier results/dse_smoke.jsonl \

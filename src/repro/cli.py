@@ -140,6 +140,7 @@ from repro.obs.log import log, set_level
 from repro.osmodel.loader import load_process
 from repro.pipeline.cpu import PipelineCPU
 from repro.pipeline.funcsim import FuncSim
+from repro.utils.atomic import write_atomic
 
 #: Exit code signalling a detected integrity violation (vs 1 = tool error).
 EXIT_VIOLATION = 2
@@ -414,8 +415,7 @@ def _run_attack(
     )
     print(result.table().render())
     if json_path:
-        with open(json_path, "w", encoding="utf-8") as handle:
-            handle.write(result.render_json())
+        write_atomic(json_path, result.render_json())
         log.info(f"detection matrix written to {json_path}")
     if result.out_files:
         log.info(
@@ -759,8 +759,7 @@ def cmd_dse_frontier(args: argparse.Namespace) -> int:
         return 1
     print(report.table().render())
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(report.render_json())
+        write_atomic(args.json, report.render_json())
         log.info(f"frontier written to {args.json}")
     return 0
 
@@ -797,8 +796,7 @@ def cmd_dse_report(args: argparse.Namespace) -> int:
     text = "\n".join(lines)
     print(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        write_atomic(args.out, text + "\n")
         log.info(f"report written to {args.out}")
     return 0
 

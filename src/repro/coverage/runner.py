@@ -39,6 +39,7 @@ from repro.exec.spec import CampaignSpec
 from repro.faults.campaign import FaultCampaign
 from repro.obs import core as obs
 from repro.obs import metrics as obs_metrics
+from repro.utils.atomic import write_atomic
 
 #: Coverage shards are bigger than the interactive default (16): corpora
 #: run tens of thousands of injections, and fewer shard boundaries means
@@ -188,8 +189,7 @@ def run_coverage(
         directory = os.path.dirname(out_path)
         if directory:
             os.makedirs(directory, exist_ok=True)
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(render_payload(payload))
+        write_atomic(out_path, render_payload(payload))
         if collect:
             _write_coverage_metrics(
                 spec, payload, out_path, master, all_shards,

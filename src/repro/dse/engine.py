@@ -18,7 +18,7 @@ vocabulary of :mod:`repro.dse.objectives`:
   :mod:`repro.attacks` corpus or the §6.3 same-column pairs — through the
   campaign kernels of the selected :class:`~repro.exec.backends.Backend`
   (default ``golden``: fork each injection from a per-configuration
-  checkpoint store);
+  checkpoint store, overlaid on the workload's one pristine recording);
 * **area and period** come from the Table-2 synthesis model.
 
 Execution runs on the generic harness (:mod:`repro.exec.harness`):
@@ -59,6 +59,7 @@ from repro.exec.harness import (
     validate_plan,
 )
 from repro.exec.records import load_lines
+from repro.obs import core as obs
 from repro.faults.campaign import (
     CampaignContext,
     CampaignReport,
@@ -126,7 +127,10 @@ class DseWorkspace:
     multiplies the space for free and repeated hash/policy combinations
     are measured once.  (The cycle-measuring ``pipeline-golden`` backend
     adds the penalty to the key: its monitored cycle counts *depend* on
-    the penalty model — that is the point of measuring.)
+    the penalty model — that is the point of measuring.)  Every measure
+    of a workload shares one decode cache and one pristine recording,
+    which the golden backend records on the workload's first measure in
+    this workspace and overlays for every later one.
     """
 
     def __init__(
@@ -145,6 +149,8 @@ class DseWorkspace:
         self._measures = MeasureCache()
         self._synthesis = MeasureCache()
         self._baseline_synthesis = synthesize(None)
+        #: Per workload: one decode cache and one pristine-recording memo.
+        self._warm_caches: dict[str, tuple[dict, dict]] = {}
 
     # -- shared inputs ---------------------------------------------------
 
@@ -223,7 +229,23 @@ class DseWorkspace:
             key += (config.miss_penalty,)
         return self._measures.get(key, lambda: self._measure(workload, config))
 
+    def _warm(self, workload: str, context: CampaignContext) -> WarmProcess:
+        """The warm caches of one measure: the FHT cached for its
+        (workload, hash), plus the decode cache and pristine recordings
+        every measure of the workload shares in this workspace."""
+        decode_cache, recordings = self._warm_caches.setdefault(
+            workload, ({}, {})
+        )
+        return WarmProcess(
+            program=context.program,
+            fht=workload_fht(workload, self.space.scale, context.hash_name),
+            hash_name=context.hash_name,
+            decode_cache=decode_cache,
+            recordings=recordings,
+        )
+
     def _measure(self, workload: str, config: MonitorConfig) -> dict:
+        obs.count("dse.measures")
         space = self.space
         golden = baseline_run(workload, space.scale)
         fht = workload_fht(workload, space.scale, config.hash_name)
@@ -247,8 +269,7 @@ class DseWorkspace:
             )
             if self.backend.measures_cycles:
                 context = replace(context, miss_penalty=config.miss_penalty)
-            warm = WarmProcess.from_context(context)
-            state = self.backend.prepare(context, warm)
+            state = self.backend.prepare(context, self._warm(workload, context))
             monitored_cycles = getattr(state, "golden_cycles", None)
             if monitored_cycles is not None:
                 # The pipeline-golden recording *is* the measurement: the

@@ -12,7 +12,25 @@ holds what the functional and the cycle-level backend
    simulator, pausing every ``interval`` instructions to snapshot it and
    the monitor (CIC registers, IHT rows, handler counters, policy state).
    The same run records, per text address, the ordinals of its fetches,
-   plus the set of text words the program ever reads as *data*.
+   plus the set of text words the program ever reads as *data* or
+   stores to.  On :class:`FuncSim` the store comes in two parts.  The
+   CIC only observes the fetch stream, so the pristine run executes
+   identically under every hash, IHT size, replacement policy and miss
+   penalty; the monitor changes only timing, through OS miss handling.
+   :func:`record_pristine` records the run once per program and inputs,
+   keeping — beside the recording configuration's own store — a
+   :class:`PristineRecording` of everything no monitor changes: the
+   snapshots' architected state, the fetch ordinals, the unsafe words,
+   and the fetch stream with its redirect points.
+   :func:`overlay_monitor` then builds any other configuration's store
+   without executing an instruction, by replaying a fresh checker, its
+   OS handler and :class:`FuncSim`'s scoreboard over that stream; each
+   checkpoint equals what :func:`record_store` would take at the same
+   instruction.  :func:`build_golden_store` memoizes the recording in
+   :attr:`~repro.faults.campaign.WarmProcess.recordings`, so a DSE
+   worker records each workload once and overlays every configuration
+   it measures.  The cycle-level store, whose timing the monitor changes
+   cycle by cycle, is one monitored recording per configuration.
 2. :func:`plan_fork` plans one injection: the first fetch ordinal at
    which the perturbation can corrupt the pipeline follows directly from
    the recorded ordinals.  A perturbation that can never deliver —
@@ -40,13 +58,16 @@ Soundness notes
 
 The differential tests ``tests/exec/test_golden_backend.py`` and
 ``tests/exec/test_batch_kernels.py`` pin ``golden ≡ full`` on outcome,
-detail, and latency for every fault model and every attack class.
+detail, and latency for every fault model and every attack class;
+``tests/exec/test_monitor_overlay.py`` pins overlay stores equal to
+monitored recordings, checkpoint for checkpoint.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigurationError
 from repro.obs import core as obs
@@ -59,9 +80,10 @@ from repro.faults.campaign import (
     make_probe,
     split_perturbation,
 )
-from repro.pipeline.funcsim import FuncSim
+from repro.isa.properties import CONTROL_FLOW
+from repro.pipeline.funcsim import FuncSim, FuncSimSnapshot, _Scoreboard
+from repro.pipeline.hazards import CycleModel
 from repro.pipeline.memory import Memory
-from repro.pipeline.trace import BlockTrace
 
 #: Aim for this many checkpoints over the golden run by default.
 DEFAULT_CHECKPOINT_COUNT = 64
@@ -108,19 +130,46 @@ def restore_checkpoint(simulator, checkpoint: Checkpoint) -> None:
     simulator.monitor.handler.restore(checkpoint.handler)
 
 
-class _FetchRecorder:
-    """Fetch hook for the recording run: ordinal list per text address."""
+class _StreamRecorder:
+    """Fetch hook for the recording run: the fetch stream, every fetched
+    address and word in order."""
 
-    __slots__ = ("ordinals", "fetches")
+    __slots__ = ("addresses", "words")
 
     def __init__(self) -> None:
-        self.ordinals: dict[int, list[int]] = {}
-        self.fetches = 0
+        self.addresses = array("I")
+        self.words = array("I")
 
     def __call__(self, address: int, word: int) -> int:
-        self.fetches += 1
-        self.ordinals.setdefault(address, []).append(self.fetches)
+        self.addresses.append(address)
+        self.words.append(word)
         return word
+
+    @property
+    def fetches(self) -> int:
+        return len(self.addresses)
+
+    def fetch_ordinals(self) -> dict[int, list[int]]:
+        ordinals: dict[int, list[int]] = {}
+        for ordinal, address in enumerate(self.addresses, 1):
+            ordinals.setdefault(address, []).append(ordinal)
+        return ordinals
+
+
+class _RedirectLog(_Scoreboard):
+    """:class:`FuncSim`'s scoreboard, noting the fetch ordinal of every
+    instruction that redirects fetch (a taken branch or any jump)."""
+
+    __slots__ = ("_stream", "ordinals")
+
+    def __init__(self, model, stream: array) -> None:
+        super().__init__(model)
+        self._stream = stream
+        self.ordinals = array("I")
+
+    def redirect(self) -> None:
+        self.ordinals.append(len(self._stream))
+        _Scoreboard.redirect(self)
 
 
 class _ReadRecordingMemory(Memory):
@@ -196,9 +245,6 @@ class GoldenStore:
     unsafe_words: frozenset[int]
     golden_instructions: int
     interval: int
-    #: The golden run's dynamic basic-block trace — the same record the
-    #: Figure-6 replay consumes (:func:`repro.cic.replay.replay_trace`).
-    trace: BlockTrace | None = None
     #: Measured cycles of the monitored pristine run — the quantity the
     #: analytic Table-1 accounting predicts.  Only the cycle-level
     #: recording sets it.
@@ -238,21 +284,24 @@ def record_store(
     interval: int | None,
     simulator,
     label: str,
+    recorder: _StreamRecorder | None = None,
 ) -> GoldenStore:
     """Record the monitored golden run of *simulator* with checkpoints.
 
     *simulator* is a freshly booted, monitored :class:`FuncSim` or
     :class:`~repro.pipeline.cpu.PipelineCPU`; *label* names the
-    ``<label>.record`` span and the recording counters.  Costs roughly one
-    monitored run plus the snapshot copies; every injection of the
+    ``<label>.record`` span and the recording counters; *recorder*, if
+    given, is the fetch-stream recorder to run it under.  Costs roughly
+    one monitored run plus the snapshot copies; every injection of the
     campaign then starts from a checkpoint instead of instruction zero.
     """
     if interval is None:
         interval = checkpoint_interval(context.golden_instructions)
     if interval < 1:
         raise ConfigurationError(f"checkpoint interval must be >= 1: {interval}")
+    if recorder is None:
+        recorder = _StreamRecorder()
     with obs.span(f"{label}.record"):
-        recorder = _FetchRecorder()
         simulator.fetch_hook = recorder
         memory = _ReadRecordingMemory(
             simulator.state.memory,
@@ -275,12 +324,10 @@ def record_store(
         raise ConfigurationError(
             "monitored golden run diverged from the recorded reference"
         )
-    fetch_counts = {
-        address: len(ordinals) for address, ordinals in recorder.ordinals.items()
-    }
+    ordinals = recorder.fetch_ordinals()
     unsafe = set(memory.touched_words)
     for address, reads in memory.word_reads.items():
-        if reads > fetch_counts.get(address, 0):
+        if reads > len(ordinals.get(address, ())):
             unsafe.add(address)
     obs.count(f"{label}.stores_recorded")
     obs.count(f"{label}.checkpoints", len(checkpoints))
@@ -289,13 +336,151 @@ def record_store(
         warm=warm,
         checkpoints=checkpoints,
         fetch_ordinals={
-            address: tuple(ordinals)
-            for address, ordinals in recorder.ordinals.items()
+            address: tuple(seen) for address, seen in ordinals.items()
         },
         unsafe_words=frozenset(unsafe),
         golden_instructions=result.instructions,
         interval=interval,
-        trace=result.block_trace,
+    )
+
+
+@dataclass(slots=True)
+class PristineRecording:
+    """The golden run of one program and its inputs, as every monitor
+    configuration sees it.
+
+    Nothing an overlay reads here depends on the monitor, so one
+    recording serves every :func:`overlay_monitor` of a workload.
+    """
+
+    #: :class:`FuncSim` snapshots at instruction zero and every
+    #: ``interval`` instructions.  Their scoreboard registers hold the
+    #: recording configuration's timing; an overlay replaces them.
+    snapshots: list[FuncSimSnapshot]
+    fetch_ordinals: dict[int, tuple[int, ...]]
+    unsafe_words: frozenset[int]
+    interval: int
+    #: The fetch stream: per executed instruction, an index into ``ops``.
+    stream: array
+    #: Distinct stream entries ``(address, word, instruction, ends_block,
+    #: redirected)``: a conditional branch appears once taken and once
+    #: not, a word the program overwrote once per value fetched.
+    ops: list[tuple]
+
+
+def record_pristine(
+    context: CampaignContext, warm: WarmProcess, interval: int
+) -> tuple[PristineRecording, GoldenStore]:
+    """Record the golden run once: *context*'s own store, and the
+    pristine recording every other monitor configuration overlays.
+
+    The run is monitored by *context*'s configuration, so its
+    checkpoints are that configuration's store as :func:`record_store`
+    takes it; the fetch stream, the redirect points and the snapshots'
+    architected state are the same under any monitor.  Costs one
+    monitored :class:`FuncSim` run, the snapshot copies, and one pass
+    that indexes the fetch stream.
+    """
+    simulator = FuncSim(
+        context.program,
+        monitor=warm.fresh_checker(context),
+        inputs=context.inputs,
+        max_instructions=context.instruction_budget,
+        decode_cache=warm.decode_cache,
+    )
+    recorder = _StreamRecorder()
+    # The scoreboard is the one place FuncSim reports a redirect; a taken
+    # branch to the next instruction shows nowhere else.
+    redirects = _RedirectLog(simulator.cycle_model, recorder.addresses)
+    simulator._scoreboard = redirects
+    store = record_store(context, warm, interval, simulator, "golden", recorder)
+    redirected = bytearray(recorder.fetches + 1)
+    for ordinal in redirects.ordinals:
+        redirected[ordinal] = 1
+    # Number each distinct (address, word, redirected) in order of first
+    # fetch; every word fetched is in the decode cache by now.
+    index: dict[tuple[int, int, int], int] = {}
+    stream = array(
+        "I",
+        (
+            index.setdefault(entry, len(index))
+            for entry in zip(recorder.addresses, recorder.words, redirected[1:])
+        ),
+    )
+    decoded = warm.decode_cache
+    ops = [
+        (
+            address,
+            word,
+            decoded[word],
+            decoded[word].mnemonic in CONTROL_FLOW,
+            bool(taken),
+        )
+        for address, word, taken in index
+    ]
+    pristine = PristineRecording(
+        snapshots=[checkpoint.sim for checkpoint in store.checkpoints],
+        fetch_ordinals=store.fetch_ordinals,
+        unsafe_words=store.unsafe_words,
+        interval=store.interval,
+        stream=stream,
+        ops=ops,
+    )
+    return pristine, store
+
+
+def overlay_monitor(
+    pristine: PristineRecording, context: CampaignContext, warm: WarmProcess
+) -> GoldenStore:
+    """*context*'s monitor configuration laid over *pristine*.
+
+    Replays a fresh checker, its OS handler and :class:`FuncSim`'s
+    scoreboard over the fetch stream, in the order :meth:`FuncSim.run`
+    drives them, and checkpoints them at every pristine snapshot.  The
+    stream runs to its end, so a monitor that would stop the pristine
+    run raises here as it would in a monitored recording.
+    """
+    checker = warm.fresh_checker(context)
+    handler = checker.handler
+    scoreboard = _Scoreboard(CycleModel())
+    fold = checker.on_instruction
+    check = checker.on_block_end
+    issue = scoreboard.issue
+    redirect = scoreboard.redirect
+    ops = pristine.ops
+    stream = pristine.stream
+    checkpoints: list[Checkpoint] = []
+    done = 0
+    with obs.span("golden.overlay"):
+        for snapshot in (*pristine.snapshots, None):
+            mark = len(stream) if snapshot is None else snapshot.instructions
+            for op in stream[done:mark]:
+                address, word, instruction, ends_block, redirected = ops[op]
+                fold(address, word)
+                issue(instruction, check(address) if ends_block else 0)
+                if redirected:
+                    redirect()
+            done = mark
+            if snapshot is not None:
+                checkpoints.append(
+                    Checkpoint(
+                        mark,
+                        mark,
+                        replace(snapshot, scoreboard=scoreboard.capture()),
+                        checker.snapshot(),
+                        handler.snapshot(),
+                    )
+                )
+    obs.count("golden.stores_overlaid")
+    obs.count("golden.checkpoints", len(checkpoints))
+    return GoldenStore(
+        context=context,
+        warm=warm,
+        checkpoints=checkpoints,
+        fetch_ordinals=pristine.fetch_ordinals,
+        unsafe_words=pristine.unsafe_words,
+        golden_instructions=len(stream),
+        interval=pristine.interval,
     )
 
 
@@ -304,18 +489,23 @@ def build_golden_store(
     warm: WarmProcess | None = None,
     interval: int | None = None,
 ) -> GoldenStore:
-    """Record the monitored golden run on :class:`FuncSim`
-    (:func:`record_store`), with its block trace."""
+    """The :class:`FuncSim` store of *context*.
+
+    The first store of a program and its inputs records the golden run
+    (:func:`record_pristine`) and memoizes the recording in
+    ``warm.recordings``; every later one overlays its monitor
+    configuration on it (:func:`overlay_monitor`).
+    """
     warm = warm or WarmProcess.from_context(context)
-    simulator = FuncSim(
-        context.program,
-        monitor=warm.fresh_checker(context),
-        inputs=context.inputs,
-        max_instructions=context.instruction_budget,
-        decode_cache=warm.decode_cache,
-        collect_trace=True,
-    )
-    return record_store(context, warm, interval, simulator, "golden")
+    if interval is None:
+        interval = checkpoint_interval(context.golden_instructions)
+    key = (interval, context.instruction_budget, tuple(context.inputs or ()))
+    pristine = warm.recordings.get(key)
+    if pristine is not None:
+        return overlay_monitor(pristine, context, warm)
+    pristine, store = record_pristine(context, warm, interval)
+    warm.recordings[key] = pristine
+    return store
 
 
 def plan_fork(store: GoldenStore, fault) -> tuple[tuple, tuple, int] | None:

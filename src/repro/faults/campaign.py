@@ -264,6 +264,12 @@ class WarmProcess:
     fht: FullHashTable
     hash_name: str
     decode_cache: dict = field(default_factory=dict)
+    #: Pristine recordings of the program, which do not depend on the
+    #: monitor: the golden backend records one on first use
+    #: (:func:`repro.exec.golden.build_golden_store`) and overlays every
+    #: monitor configuration on it.  WarmProcesses built for different
+    #: hashes of one workload may share this dict and the decode cache.
+    recordings: dict = field(default_factory=dict)
 
     @classmethod
     def from_context(cls, context: "CampaignContext") -> "WarmProcess":

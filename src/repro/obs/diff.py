@@ -29,6 +29,12 @@ Regression is always signed **toward worse**: positive means B regressed
 relative to A in the metric's own direction, so a single ``--gate``
 percentage covers both families.  A self-diff is all-zero and exits 0 —
 the ``make trace-smoke`` invariant.
+
+Only comparable runs are compared: two metrics artifacts whose manifests
+differ in any of :data:`COMPARABLE_KEYS` (a golden campaign against a
+pipeline-golden one, sha against bitcount), or two bench artifacts of
+different ``benchmark`` modules, are refused with the differing key
+named.  A key absent from both sides is not compared.
 """
 
 from __future__ import annotations
@@ -42,6 +48,9 @@ from repro.errors import ConfigurationError
 
 #: Senses a metric can have: gated directions, or report-only.
 LOWER, HIGHER, INFO = "lower", "higher", "info"
+
+#: Metrics-manifest keys on which two comparable runs agree.
+COMPARABLE_KEYS = ("kind", "backend", "workload", "scale", "fingerprint")
 
 #: Counter pairs whose hit rate is a gated higher-is-better metric.
 _RATE_COUNTERS = (
@@ -186,6 +195,19 @@ def diff_artifacts(
             f"cannot diff {a_kind} artifact {os.fspath(a_path)} against "
             f"{b_kind} artifact {os.fspath(b_path)}"
         )
+    if a_kind == "metrics":
+        a_side = a_payload.get("manifest", {})
+        b_side = b_payload.get("manifest", {})
+        keys = COMPARABLE_KEYS
+    else:
+        a_side, b_side, keys = a_payload, b_payload, ("benchmark",)
+    for key in keys:
+        if (key in a_side or key in b_side) and a_side.get(key) != b_side.get(key):
+            raise ConfigurationError(
+                f"cannot diff {os.fspath(a_path)} against {os.fspath(b_path)}: "
+                f"the runs differ in {key} ({a_side.get(key)!r} vs "
+                f"{b_side.get(key)!r})"
+            )
     extract = _extract_metrics if a_kind == "metrics" else _extract_bench
     a_metrics = extract(a_payload)
     b_metrics = extract(b_payload)

@@ -34,6 +34,8 @@ import os
 import platform as _platform
 import time
 
+from repro.utils.atomic import write_atomic
+
 #: Bumped when the metrics artifact shape changes incompatibly.
 METRICS_VERSION = 1
 
@@ -87,12 +89,8 @@ def build_payload(manifest: dict, telemetry, shards: list[dict]) -> dict:
 
 
 def write_metrics(path: str | os.PathLike, payload: dict) -> str:
-    """Write *payload* as pretty JSON; return the path written."""
-    target = os.fspath(path)
-    with open(target, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return target
+    """Write *payload* as pretty JSON, atomically; return the path."""
+    return write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def load_metrics(path: str | os.PathLike) -> dict:

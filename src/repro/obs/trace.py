@@ -29,6 +29,7 @@ import os
 from repro.errors import ConfigurationError
 from repro.obs.events import read_events, resolve_events_path, resolve_metrics_path
 from repro.obs.metrics import load_metrics
+from repro.utils.atomic import write_atomic
 
 #: trace_event timestamps are microseconds.
 _MICROS = 1_000_000.0
@@ -219,7 +220,5 @@ def export_trace(path: str | os.PathLike, out: str | os.PathLike) -> dict:
         raise ConfigurationError(
             f"exported trace is schema-invalid: {'; '.join(errors[:3])}"
         )
-    with open(os.fspath(out), "w", encoding="utf-8") as handle:
-        json.dump(trace, handle, indent=1, sort_keys=True)
-        handle.write("\n")
+    write_atomic(out, json.dumps(trace, indent=1, sort_keys=True) + "\n")
     return trace

@@ -334,9 +334,9 @@ class TestGoldenStoreInternals:
         assert total == sha_store.golden_instructions
 
     def test_trace_matches_context_executed_set(self, sha_store):
-        from repro.pipeline.trace import executed_addresses
-
-        assert (
-            executed_addresses(sha_store.trace)
-            == sha_store.context.executed_addresses
-        )
+        # The pristine recording's fetch stream covers exactly the
+        # addresses the context's golden block trace executed.
+        [pristine] = sha_store.warm.recordings.values()
+        fetched = {pristine.ops[op][0] for op in pristine.stream}
+        assert tuple(sorted(fetched)) == sha_store.context.executed_addresses
+        assert len(pristine.stream) == sha_store.golden_instructions

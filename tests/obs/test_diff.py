@@ -60,9 +60,26 @@ def bench_payload(per_second=100.0, wall=2.0):
     }
 
 
+def manifested(**manifest):
+    """A metrics payload with a campaign manifest; *manifest* overrides."""
+    payload = metrics_payload()
+    payload["manifest"] = {
+        "kind": "campaign results",
+        "backend": "golden",
+        "workload": "bitcount",
+        "scale": "tiny",
+        "fingerprint": "feedbeefcafe0001",
+        "host": "here",
+        "seed": 42,
+        **manifest,
+    }
+    return payload
+
+
 def write(path, payload):
     path.write_text(json.dumps(payload))
     return path
+
 
 
 class TestDiffRow:
@@ -166,6 +183,61 @@ class TestLoadErrors:
         b = write(tmp_path / "b.json", bench_payload())
         with pytest.raises(ConfigurationError):
             diff_artifacts(a, b)
+
+    @pytest.mark.parametrize(
+        "key, other",
+        [
+            ("kind", "DSE sweep"),
+            ("backend", "pipeline-golden"),
+            ("workload", "sha"),
+            ("scale", "small"),
+            ("fingerprint", "feedbeefcafe0002"),
+        ],
+    )
+    def test_incomparable_runs_refuse(self, tmp_path, key, other):
+        a = write(tmp_path / "a.metrics.json", manifested())
+        b = write(tmp_path / "b.metrics.json", manifested(**{key: other}))
+        with pytest.raises(ConfigurationError, match=f"differ in {key}"):
+            diff_artifacts(a, b)
+
+    def test_key_on_one_side_only_refuses(self, tmp_path):
+        a = write(tmp_path / "a.metrics.json", manifested())
+        lacking = manifested()
+        del lacking["manifest"]["workload"]
+        b = write(tmp_path / "b.metrics.json", lacking)
+        with pytest.raises(ConfigurationError, match="differ in workload"):
+            diff_artifacts(a, b)
+
+    def test_comparable_runs_diff(self, tmp_path):
+        # Same run identity; the host, seed and timings may all differ,
+        # and a key absent from both manifests is not compared.
+        a_payload = manifested(seed=1)
+        b_payload = manifested(seed=2, host="elsewhere")
+        b_payload["wall_seconds"] = 2.5
+        for payload in (a_payload, b_payload):
+            del payload["manifest"]["scale"]
+        a = write(tmp_path / "a.metrics.json", a_payload)
+        b = write(tmp_path / "b.metrics.json", b_payload)
+        assert diff_artifacts(a, b).worst == pytest.approx(25.0)
+
+    def test_different_benchmarks_refuse(self, tmp_path):
+        a = write(tmp_path / "a.json", bench_payload())
+        other = bench_payload()
+        other["benchmark"] = "tests/test_other.py"
+        b = write(tmp_path / "b.json", other)
+        with pytest.raises(ConfigurationError, match="differ in benchmark"):
+            diff_artifacts(a, b)
+
+    def test_cli_refuses_with_a_message(self, tmp_path, capsys):
+        from repro.cli import main
+
+        a = write(tmp_path / "a.metrics.json", manifested())
+        b = write(
+            tmp_path / "b.metrics.json", manifested(backend="pipeline-golden")
+        )
+        assert main(["stats", "diff", str(a), str(b), "--gate", "5"]) == 1
+        assert "differ in backend" in capsys.readouterr().err
+        assert main(["stats", "diff", str(a), str(a), "--gate", "5"]) == 0
 
     def test_unrecognized_payload_refuses(self, tmp_path):
         stray = write(tmp_path / "stray.json", {"hello": "world"})
