@@ -26,15 +26,32 @@ Commands
     Regenerate every paper table/figure into ``results/`` (equivalent to
     ``examples/paper_experiments.py``).
 
-``coverage run|diff|check``
-    The exhaustive ground-truth gate (:mod:`repro.coverage`).  ``run``
-    executes a named corpus — every 2-bit same-column pair, or every
-    attack generator at every eligible CFG site — and writes the reduced
-    coverage matrix; ``check`` validates committed matrices (schema,
-    fingerprint, internal consistency); ``diff`` re-derives a matrix from
-    the spec embedded in the artifact (``--workload`` restricts the
-    re-derivation) and reports divergence cell by cell, exiting 1 on any
-    delta.  ``make coverage-smoke`` runs the CI subset.
+``campaign TARGET`` / ``attack TARGET`` / ``dse sweep`` / ``coverage run CORPUS``
+    The four job kinds (:mod:`repro.jobs`): the §6.3 fault-injection
+    campaign, the adversarial tampering sweep and its detection matrix,
+    the design-space sweep behind Figure 6, and the exhaustive coverage
+    corpora.  Each kind declares its flags once; the local subcommand
+    runs the job in this process, sharded across ``--workers`` and
+    streamed to ``--out`` so ``--resume`` picks an interrupted run back
+    up, and ``submit KIND`` (below) enqueues exactly the same job on a
+    server.  TARGET is a workload name, an assembly file, or ``all``
+    (one run per workload — a campaign preset's roster, or the whole
+    suite); ``--preset NAME`` supplies a campaign's fault plan and
+    scale/backend, or a DSE space, and explicit flags override it.
+    ``--backend`` picks the execution backend from the registry:
+    ``golden`` forks each injection from the recorded golden run instead
+    of re-simulating from instruction zero (``full``),
+    ``pipeline-golden`` forks the cycle-level pipeline and measures
+    cycles.  Results are identical for any worker count and either
+    functional backend.
+
+``coverage diff|check``
+    The exhaustive ground-truth gate (:mod:`repro.coverage`): ``check``
+    validates committed matrices (schema, fingerprint, internal
+    consistency); ``diff`` re-derives a matrix from the spec embedded in
+    the artifact (``--workload`` restricts the re-derivation) and
+    reports divergence cell by cell, exiting 1 on any delta.  ``make
+    coverage-smoke`` runs the CI subset.
 
 ``stats PATH``
     Render the ``*.metrics.json`` telemetry artifacts written beside
@@ -60,43 +77,10 @@ Commands
     Alias of ``stats PATH --follow`` — the live view of an in-flight
     run.
 
-``dse sweep|frontier|report``
-    Drive the design-space explorer (:mod:`repro.dse`).  ``sweep``
-    evaluates a configuration grid — ``--preset NAME`` or explicit axis
-    flags (``--hash``/``--iht``/``--policy``/``--penalty``, all
-    repeatable, crossed with ``--workload`` at ``--scale``) — on the
-    golden backend, sharded across ``--workers`` and streamed to
-    ``--out`` so ``--resume`` picks interrupted sweeps back up.
+``dse frontier|report``
     ``frontier`` computes the Pareto-non-dominated configurations of a
-    sweep file over any ``--objective`` subset; ``report`` prints the
-    full ranked trade-off report.  Point records and frontiers are
-    identical for any worker count and either backend.
-
-``campaign TARGET``
-    Run a parallel fault-injection campaign (the §6.3 experiment) against a
-    workload name or an assembly file, on the :mod:`repro.exec` harness.
-    ``--faults N`` random single-bit faults (seeded by ``--seed``) are
-    sharded across ``--workers`` processes; ``--out FILE`` streams JSONL
-    records so ``--resume`` can pick an interrupted campaign back up from
-    the last completed shard.  ``--preset NAME`` selects a named campaign
-    (``exhaustive-single-bit``: every flip of every executed word at
-    default scale on the golden backend).  ``--backend`` picks the
-    execution backend from the registry — ``golden`` forks each injection
-    from the recorded golden run's nearest checkpoint instead of
-    re-simulating from instruction zero (``full``), ``pipeline-golden``
-    forks the cycle-level pipeline and measures cycles.  Results are
-    identical for any worker count and either functional backend.
-
-``attack TARGET``
-    Run the adversarial tampering sweep (:mod:`repro.attacks`) against a
-    workload name or assembly file and print the detection matrix —
-    detection rate and latency per attack class.  ``--class`` selects
-    attack classes (repeatable; ``all``/``persistent``/``transient``),
-    ``--per-class`` the scenarios sampled per class.  Sweeps shard across
-    ``--workers``, stream to ``--out``, and ``--resume`` like campaigns;
-    the matrix is byte-identical for any worker count.  ``TARGET=all``
-    (for both ``campaign`` and ``attack``) sweeps the whole nine-workload
-    suite, MiBench-class workloads included.
+    ``dse sweep`` file over any ``--objective`` subset; ``report``
+    prints the full ranked trade-off report.
 
 ``serve`` / ``submit`` / ``jobs``
     The campaign-as-a-service tier (:mod:`repro.service`,
@@ -105,8 +89,9 @@ Commands
     per-client queue, a content-addressed cache of golden checkpoint
     stores, and a crash-tolerant job journal — kill the server mid-job
     and the next ``serve`` resumes it shard-exact.  ``submit
-    campaign|dse|attack|coverage`` validates and enqueues jobs
-    (``--wait`` blocks, ``--watch`` streams the live event/record lines);
+    campaign|dse|attack|coverage`` takes the local subcommand's flags,
+    validates, and enqueues the jobs it would run (``--wait`` blocks,
+    ``--watch`` streams the live event/record lines);
     ``jobs`` lists jobs, ``--stats`` shows queue depth and cache hit
     rates, ``--cancel`` stops a job at its next shard-step boundary,
     ``--shutdown`` stops the server gracefully.
@@ -135,6 +120,7 @@ import sys
 from repro import __version__
 from repro.asm.assembler import assemble
 from repro.errors import MonitorViolation, ReproError
+from repro.jobs import KINDS
 from repro.obs import core as obs_core
 from repro.obs.log import log, set_level
 from repro.osmodel.loader import load_process
@@ -144,14 +130,6 @@ from repro.utils.atomic import write_atomic
 
 #: Exit code signalling a detected integrity violation (vs 1 = tool error).
 EXIT_VIOLATION = 2
-
-#: Mirrors of the execution-layer registries, spelled out so building the
-#: parser stays free of the repro.exec import stack (the cmd_* handlers
-#: defer their heavy imports to call time for the same reason).
-#: ``tests/test_cli.py`` pins both against the live registries.
-BACKEND_CHOICES = ("full", "golden", "pipeline-golden")
-CAMPAIGN_PRESET_CHOICES = ("exhaustive-single-bit", "smoke", "mibench-tiny")
-COVERAGE_CORPUS_CHOICES = ("pairs-tiny", "pairs-small", "attacks-tiny")
 
 
 def _engine(name: str):
@@ -256,172 +234,28 @@ def cmd_workload(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_target(target: str) -> tuple[str | None, str | None, str | None]:
-    """``(workload, source, name)`` for a workload name or assembly file.
-
-    Returns ``(None, None, None)`` — after printing a diagnostic — when the
-    target is neither.
-    """
-    import os
-
-    from repro.workloads.suite import WORKLOAD_NAMES
-
-    if target in WORKLOAD_NAMES:
-        return target, None, None
-    if os.path.exists(target):
-        return None, _read_source(target), target
-    log.error(
-        f"unknown target {target!r}: not a workload "
-        f"({', '.join(WORKLOAD_NAMES)}) and no such file"
-    )
-    return None, None, None
+def _suffixed(path: str | None, suffix: str | None, default_ext: str) -> str | None:
+    if not path or suffix is None:
+        return path
+    root, ext = os.path.splitext(path)
+    return f"{root}-{suffix}{ext or default_ext}"
 
 
-def _campaign_roster(preset) -> tuple[str, ...]:
-    """The workload set ``TARGET=all`` expands to: the preset's roster
-    when it has one, the full nine-workload suite otherwise."""
-    from repro.workloads.suite import WORKLOAD_NAMES
-
-    if preset is not None and preset.workloads:
-        return tuple(preset.workloads)
-    return tuple(WORKLOAD_NAMES)
-
-
-def _suffixed_out(out: str | None, workload: str, default_ext: str) -> str | None:
-    if not out:
-        return None
-    root, ext = os.path.splitext(out)
-    return f"{root}-{workload}{ext or default_ext}"
-
-
-def cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.exec import get_campaign_preset
-
-    # A preset supplies scale/backend defaults and the fault plan; any
-    # flag given explicitly overrides the preset's value.  The target
-    # ``all`` sweeps a roster: the preset's workload set when it has one
-    # (e.g. mibench-tiny), the whole nine-workload suite otherwise.
-    preset = get_campaign_preset(args.preset) if args.preset else None
-    if args.target == "all":
-        for workload in _campaign_roster(preset):
-            status = _run_campaign(
-                args, preset, workload,
-                _suffixed_out(args.out, workload, ".jsonl"),
-            )
-            if status != 0:
-                return status
-        return 0
-    return _run_campaign(args, preset, args.target, args.out)
-
-
-def _run_campaign(
-    args: argparse.Namespace, preset, target: str, out: str | None
-) -> int:
-    from repro.exec import CampaignRunner, CampaignSpec
-    from repro.faults.campaign import Outcome
-
-    workload, source, name = _resolve_target(target)
-    if workload is None and source is None:
-        return 1
-    scale = args.scale or (preset.scale if preset else "small")
-    backend = args.backend or (preset.backend if preset else "full")
-    spec = CampaignSpec(
-        workload=workload,
-        scale=scale,
-        source=source,
-        name=name,
-        iht_size=args.iht,
-        hash_name=args.hash,
-        policy_name=args.policy,
-        backend=backend,
-    )
-    runner = CampaignRunner(
-        spec,
-        workers=args.workers,
-        chunk_size=args.chunk,
-        batch_size=args.batch_size,
-    )
-    if preset is not None and args.faults is None:
-        faults = preset.faults(runner.campaign, seed=args.seed)
-    else:
-        faults = runner.campaign.random_single_bit(
-            args.faults if args.faults is not None else 200, seed=args.seed
+def cmd_job(args: argparse.Namespace) -> int:
+    """``repro campaign|attack``, ``repro dse sweep``, ``repro coverage run``:
+    run each job the flags describe (:mod:`repro.jobs`) in this process."""
+    kind = KINDS[args.kind]
+    for suffix, payload in kind.payloads(args):
+        paths = {
+            "out": _suffixed(args.out, suffix, kind.extension),
+            "json": _suffixed(getattr(args, "json", None), suffix, ".json"),
+        }
+        result = kind.start(payload)(
+            paths["out"],
+            getattr(args, "resume", False),
+            getattr(args, "stop_after_shards", None),
         )
-    result = runner.run(
-        faults,
-        seed=args.seed,
-        out=out,
-        resume=args.resume,
-        stop_after_shards=args.stop_after_shards,
-    )
-    report = result.report()
-    counts = report.counts()
-    print(f"campaign {spec.label}: {report.summary()}")
-    for outcome in Outcome:
-        if counts[outcome]:
-            print(f"  {outcome.value:20s} {counts[outcome]}")
-    if out:
-        state = "complete" if result.complete else "partial"
-        log.info(f"{state} results in {out} "
-                 f"({len(result.records)}/{result.total} faults, "
-                 f"{args.workers} workers)")
-    return 0
-
-
-def cmd_attack(args: argparse.Namespace) -> int:
-    # ``attack all`` runs the detection matrix over the whole workload
-    # suite — the MiBench-class workloads included — one sweep each.
-    if args.target == "all":
-        from repro.workloads.suite import WORKLOAD_NAMES
-
-        for workload in WORKLOAD_NAMES:
-            status = _run_attack(
-                args, workload,
-                out=_suffixed_out(args.out, workload, ".jsonl"),
-                json_path=_suffixed_out(args.json, workload, ".json"),
-            )
-            if status != 0:
-                return status
-        return 0
-    return _run_attack(args, args.target, out=args.out, json_path=args.json)
-
-
-def _run_attack(
-    args: argparse.Namespace, target: str, out: str | None,
-    json_path: str | None,
-) -> int:
-    from repro.eval.attack_coverage import run_attack_coverage
-
-    workload, source, name = _resolve_target(target)
-    if workload is None and source is None:
-        return 1
-    result = run_attack_coverage(
-        workload=workload,
-        scale=args.scale,
-        source=source,
-        name=name,
-        classes=tuple(args.attack_class) if args.attack_class else ("all",),
-        per_class=args.per_class,
-        hash_names=tuple(args.hash) if args.hash else ("xor",),
-        policy_names=tuple(args.policy) if args.policy else ("lru_half",),
-        iht_size=args.iht,
-        inputs=args.input or None,
-        seed=args.seed,
-        workers=args.workers,
-        chunk_size=args.chunk,
-        out=out,
-        resume=args.resume,
-        backend=args.backend,
-    )
-    print(result.table().render())
-    if json_path:
-        write_atomic(json_path, result.render_json())
-        log.info(f"detection matrix written to {json_path}")
-    if result.out_files:
-        log.info(
-            f"per-scenario records in {', '.join(result.out_files)} "
-            f"({args.workers} workers)"
-        )
+        kind.show(result, payload, paths)
     return 0
 
 
@@ -473,169 +307,32 @@ def _job_line(status: dict) -> str:
     return line
 
 
-def _finish_submit(args: argparse.Namespace, client, submitted: list) -> int:
-    """Shared --wait/--watch tail of every ``repro submit`` variant."""
+def cmd_submit(args: argparse.Namespace) -> int:
+    """``repro submit KIND``: enqueue exactly the jobs ``repro KIND`` runs."""
     import json as json_module
 
-    for status in submitted:
-        print(_job_line(status))
-    if getattr(args, "watch", False):
-        status = 0
+    payloads = KINDS[args.kind].payloads(args)
+    client = _service_client(args)
+    submitted = []
+    for suffix, payload in payloads:
+        submitted.append(client.submit(payload, priority=args.priority))
+        log.debug(f"submitted {submitted[-1]['id']} ({suffix or args.kind})")
+        print(_job_line(submitted[-1]))
+    finals = []
+    if args.watch:
         for job in submitted:
             for line in client.watch(job["id"]):
                 if line.get("stream") == "end":
-                    final = line["job"]
-                    log.info(
-                        f"{final['id']} {final['state']} "
-                        f"({final['records_done']} records)"
-                    )
-                    if final["state"] != "done":
-                        status = 1
+                    finals.append(line["job"])
+                    log.info(f"{line['job']['id']} {line['job']['state']} "
+                             f"({line['job']['records_done']} records)")
                 else:
                     print(json_module.dumps(line, sort_keys=True))
-        return status
-    if getattr(args, "wait", False):
-        status = 0
+    elif args.wait:
         for job in submitted:
-            final = client.wait(job["id"], timeout=args.timeout)
-            print(_job_line(final))
-            if final["state"] != "done":
-                status = 1
-        return status
-    return 0
-
-
-def cmd_submit_campaign(args: argparse.Namespace) -> int:
-    from repro.exec import CampaignSpec, get_campaign_preset
-
-    preset = get_campaign_preset(args.preset) if args.preset else None
-    scale = args.scale or (preset.scale if preset else "small")
-    backend = args.backend or (preset.backend if preset else "full")
-    targets = (
-        _campaign_roster(preset) if args.target == "all" else (args.target,)
-    )
-    client = _service_client(args)
-    submitted = []
-    for target in targets:
-        workload, source, name = _resolve_target(target)
-        if workload is None and source is None:
-            return 1
-        spec = CampaignSpec(
-            workload=workload,
-            scale=scale,
-            source=source,
-            name=name,
-            iht_size=args.iht,
-            hash_name=args.hash,
-            policy_name=args.policy,
-            backend=backend,
-        )
-        submitted.append(
-            client.submit(
-                {
-                    "kind": "campaign",
-                    "spec": spec.to_json(),
-                    # An explicit --faults overrides the preset's fault
-                    # plan, mirroring `repro campaign`.
-                    "preset": args.preset if args.faults is None else None,
-                    "faults": (
-                        args.faults if args.faults is not None else 200
-                    ),
-                    "seed": args.seed,
-                    "workers": args.workers,
-                    "chunk_size": args.chunk,
-                    "batch_size": args.batch_size,
-                },
-                priority=args.priority,
-            )
-        )
-        log.debug(f"submitted {submitted[-1]['id']} for {target}")
-    return _finish_submit(args, client, submitted)
-
-
-def cmd_submit_dse(args: argparse.Namespace) -> int:
-    payload = {"kind": "dse", "backend": args.backend, "seed": args.seed,
-               "workers": args.workers, "chunk_size": args.chunk}
-    if args.preset:
-        payload["preset"] = args.preset
-    else:
-        import dataclasses
-
-        from repro.dse import ConfigSpace
-
-        overrides = {
-            "hash_names": tuple(args.hash) if args.hash else None,
-            "iht_sizes": tuple(args.iht) if args.iht else None,
-            "policy_names": tuple(args.policy) if args.policy else None,
-            "workloads": tuple(args.workload) if args.workload else None,
-            "scale": args.scale,
-        }
-        overrides = {
-            key: value for key, value in overrides.items()
-            if value is not None
-        }
-        defaults = ConfigSpace(
-            hash_names=("xor",),
-            iht_sizes=(4, 8),
-            policy_names=("lru_half",),
-            miss_penalties=(100,),
-            workloads=("sha",),
-            scale="tiny",
-        )
-        payload["space"] = dataclasses.replace(defaults, **overrides).to_json()
-    client = _service_client(args)
-    return _finish_submit(args, client, [client.submit(payload, priority=args.priority)])
-
-
-def cmd_submit_attack(args: argparse.Namespace) -> int:
-    from repro.workloads.suite import WORKLOAD_NAMES
-
-    targets = (
-        tuple(WORKLOAD_NAMES) if args.target == "all" else (args.target,)
-    )
-    client = _service_client(args)
-    submitted = []
-    for target in targets:
-        submitted.append(
-            client.submit(
-                {
-                    "kind": "attack",
-                    "workload": target,
-                    "scale": args.scale,
-                    "classes": list(args.attack_class or ("all",)),
-                    "per_class": args.per_class,
-                    "hash_names": list(args.hash or ("xor",)),
-                    "policy_names": list(args.policy or ("lru_half",)),
-                    "iht_size": args.iht,
-                    "backend": args.backend,
-                    "seed": args.seed,
-                    "workers": args.workers,
-                    "chunk_size": args.chunk,
-                },
-                priority=args.priority,
-            )
-        )
-    return _finish_submit(args, client, submitted)
-
-
-def cmd_submit_coverage(args: argparse.Namespace) -> int:
-    client = _service_client(args)
-    return _finish_submit(
-        args,
-        client,
-        [
-            client.submit(
-                {
-                    "kind": "coverage",
-                    "corpus": args.corpus,
-                    "workers": args.workers,
-                    "chunk_size": args.chunk,
-                    "batch_size": args.batch_size,
-                },
-                priority=args.priority,
-            )
-        ],
-    )
+            finals.append(client.wait(job["id"], timeout=args.timeout))
+            print(_job_line(finals[-1]))
+    return int(any(final["state"] != "done" for final in finals))
 
 
 def cmd_jobs(args: argparse.Namespace) -> int:
@@ -680,63 +377,6 @@ def cmd_jobs(args: argparse.Namespace) -> int:
         return 0
     for status in jobs:
         print(_job_line(status))
-    return 0
-
-
-def cmd_dse_sweep(args: argparse.Namespace) -> int:
-    import dataclasses
-
-    from repro.dse import ConfigSpace, DseSweep, get_preset
-
-    # Flags left at None were not given; anything explicit overrides the
-    # preset (or the documented defaults when no preset is named).
-    overrides = {
-        "hash_names": tuple(args.hash) if args.hash else None,
-        "iht_sizes": tuple(args.iht) if args.iht else None,
-        "policy_names": tuple(args.policy) if args.policy else None,
-        "miss_penalties": tuple(args.penalty) if args.penalty else None,
-        "workloads": tuple(args.workload) if args.workload else None,
-        "scale": args.scale,
-        "adversary": args.adversary,
-        "attack_classes": (
-            tuple(args.attack_class) if args.attack_class else None
-        ),
-        "per_class": args.per_class,
-        "pair_count": args.pair_count,
-    }
-    overrides = {key: value for key, value in overrides.items() if value is not None}
-    if args.preset is not None:
-        space = dataclasses.replace(get_preset(args.preset), **overrides)
-    else:
-        defaults = ConfigSpace(
-            hash_names=("xor", "crc32"),
-            iht_sizes=(4, 8, 16, 32),
-            policy_names=("lru_half",),
-            miss_penalties=(100,),
-            workloads=("sha", "dijkstra", "bitcount"),
-        )
-        space = dataclasses.replace(defaults, **overrides)
-    sweep = DseSweep(
-        space,
-        seed=args.seed,
-        workers=args.workers,
-        chunk_size=args.chunk,
-        backend=args.backend,
-    )
-    result = sweep.run(
-        out=args.out,
-        resume=args.resume,
-        stop_after_shards=args.stop_after_shards,
-    )
-    print(result.table().render())
-    log.info(f"{result.summary()}")
-    if args.out:
-        state = "complete" if result.complete else "partial"
-        log.info(
-            f"{state} point records in {args.out} "
-            f"({len(result.points)}/{result.total} configurations, "
-            f"{args.workers} workers)"
-        )
     return 0
 
 
@@ -924,31 +564,6 @@ def _coverage_files(path: str) -> list[str]:
     return [path]
 
 
-def cmd_coverage_run(args: argparse.Namespace) -> int:
-    from repro.coverage import default_artifact_path, get_corpus, run_coverage
-    from repro.obs.metrics import metrics_path
-
-    spec = get_corpus(args.corpus)
-    out = args.out or default_artifact_path(spec.name)
-    payload = run_coverage(
-        spec,
-        workers=args.workers,
-        chunk_size=args.chunk,
-        batch_size=args.batch_size,
-        progress=log.info,
-        out=out,
-    )
-    manifest = payload["manifest"]
-    print(
-        f"coverage {spec.name}: {manifest['total_injections']} injections, "
-        f"{len(payload['cells'])} cells, fingerprint "
-        f"{manifest['fingerprint']} -> {out}"
-    )
-    if obs_core.enabled():
-        log.info(f"run telemetry in {metrics_path(out)}")
-    return 0
-
-
 def cmd_coverage_check(args: argparse.Namespace) -> int:
     from repro.coverage import check_payload, load_payload
 
@@ -979,6 +594,8 @@ def cmd_coverage_diff(args: argparse.Namespace) -> int:
         run_coverage,
     )
 
+    coverage = KINDS["coverage"]
+    knobs = coverage.fill(coverage.raw(args))
     expected = load_payload(args.path)
     workloads = tuple(args.workload) if args.workload else None
     if args.against is not None:
@@ -999,9 +616,9 @@ def cmd_coverage_diff(args: argparse.Namespace) -> int:
                 spec = dataclasses.replace(spec, workloads=workloads)
         actual = run_coverage(
             spec,
-            workers=args.workers,
-            chunk_size=args.chunk,
-            batch_size=args.batch_size,
+            workers=knobs["workers"],
+            chunk_size=knobs["chunk_size"],
+            batch_size=knobs["batch_size"],
             progress=log.info,
         )
     deltas = diff_payloads(expected, actual, workloads=workloads)
@@ -1116,130 +733,35 @@ def build_parser() -> argparse.ArgumentParser:
     _profile_flag(workload_command)
     workload_command.set_defaults(handler=cmd_workload)
 
-    campaign_command = commands.add_parser(
-        "campaign", help="parallel fault-injection campaign", parents=obs
-    )
-    campaign_command.add_argument(
-        "target", help="workload name or assembly file path"
-    )
-    campaign_command.add_argument(
-        "--preset", metavar="NAME", choices=CAMPAIGN_PRESET_CHOICES,
-        help="named campaign from repro.exec.presets "
-             f"({', '.join(CAMPAIGN_PRESET_CHOICES)}); supplies the fault "
-             "plan and scale/backend defaults, explicit flags override",
-    )
-    campaign_command.add_argument(
-        "--scale", choices=("tiny", "small", "default"), default=None,
-        help="workload build scale (default small, or the preset's)",
-    )
-    campaign_command.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes (default 1: serial, in-process)",
-    )
-    campaign_command.add_argument(
-        "--faults", type=int, default=None,
-        help="number of random single-bit faults to inject "
-             "(default 200; overrides a preset's fault plan)",
-    )
-    campaign_command.add_argument(
-        "--seed", type=int, default=42,
-        help="campaign seed: drives fault generation (and is recorded "
-             "in the results header for resume validation)",
-    )
-    campaign_command.add_argument(
-        "--out", help="stream per-fault JSONL records to this file"
-    )
-    campaign_command.add_argument(
-        "--resume", action="store_true",
-        help="skip shards already committed to --out",
-    )
-    campaign_command.add_argument(
-        "--chunk", type=int, default=16,
-        help="faults per shard (the unit of distribution and resume)",
-    )
-    campaign_command.add_argument(
-        "--batch-size", type=int, default=None, metavar="N",
-        help="faults per batched-kernel call within a shard (default: the "
-             "whole shard at once — fastest for the golden backend, which "
-             "shares the pristine prefix across a batch); an execution "
-             "knob like --workers, never recorded in the artifact",
-    )
-    campaign_command.add_argument(
-        "--backend", choices=BACKEND_CHOICES, default=None,
-        help="injection execution backend (registry: repro.exec.backends; "
-             "default full, or the preset's): full replay, golden "
-             "fork-at-fault, or cycle-measuring pipeline-golden — "
-             "see docs/HARNESS.md and docs/PERFORMANCE.md",
-    )
-    campaign_command.add_argument(
-        "--stop-after-shards", type=int, default=None, metavar="N",
-        help="run at most N new shards then exit with partial results "
-             "(kill/resume exercise used by `make harness-smoke`)",
-    )
-    campaign_command.add_argument("--iht", type=int, default=8)
-    campaign_command.add_argument("--hash", default="xor")
-    campaign_command.add_argument("--policy", default="lru_half")
-    campaign_command.set_defaults(handler=cmd_campaign)
+    # ------------------------------------------------------------------
+    # The job kinds (repro.jobs): each kind's fields become the flags of
+    # its local subcommand and of its `submit` variant alike.
+    # ------------------------------------------------------------------
 
-    attack_command = commands.add_parser(
-        "attack", help="adversarial tampering sweep + detection matrix",
-        parents=obs,
+    dse_command = commands.add_parser(
+        "dse", help="design-space exploration (sweep / frontier / report)"
     )
-    attack_command.add_argument(
-        "target", help="workload name or assembly file path"
+    dse_commands = dse_command.add_subparsers(dest="dse_command", required=True)
+    coverage_command = commands.add_parser(
+        "coverage",
+        help="exhaustive ground-truth coverage matrices (run/diff/check)",
     )
-    attack_command.add_argument(
-        "--scale", choices=("tiny", "small", "default"), default="small"
+    coverage_commands = coverage_command.add_subparsers(
+        dest="coverage_command", required=True
     )
-    attack_command.add_argument(
-        "--class", dest="attack_class", action="append", metavar="NAME",
-        help="attack class to sweep (repeatable; also all/persistent/"
-             "transient; default all)",
-    )
-    attack_command.add_argument(
-        "--per-class", type=int, default=8,
-        help="scenarios sampled per attack class (default 8)",
-    )
-    attack_command.add_argument(
-        "--input", type=int, action="append",
-        help="queue an integer for read_int (repeatable)",
-    )
-    attack_command.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes (default 1: serial, in-process)",
-    )
-    attack_command.add_argument(
-        "--seed", type=int, default=42,
-        help="corpus-sampling and campaign seed",
-    )
-    attack_command.add_argument(
-        "--out", help="stream per-scenario JSONL records to this file"
-    )
-    attack_command.add_argument(
-        "--resume", action="store_true",
-        help="skip shards already committed to --out",
-    )
-    attack_command.add_argument(
-        "--json", help="also write the detection matrix as JSON to this file"
-    )
-    attack_command.add_argument(
-        "--chunk", type=int, default=16,
-        help="scenarios per shard (the unit of distribution and resume)",
-    )
-    attack_command.add_argument(
-        "--backend", choices=BACKEND_CHOICES, default="full",
-        help="injection execution backend (see `campaign --backend`)",
-    )
-    attack_command.add_argument("--iht", type=int, default=8)
-    attack_command.add_argument(
-        "--hash", action="append", metavar="NAME",
-        help="hash function column (repeatable; default xor)",
-    )
-    attack_command.add_argument(
-        "--policy", action="append", metavar="NAME",
-        help="IHT replacement policy column (repeatable; default lru_half)",
-    )
-    attack_command.set_defaults(handler=cmd_attack)
+    local_homes = {
+        "campaign": (commands, "campaign"),
+        "attack": (commands, "attack"),
+        "dse": (dse_commands, "sweep"),
+        "coverage": (coverage_commands, "run"),
+    }
+    for kind in KINDS.values():
+        home, name = local_homes[kind.name]
+        local = home.add_parser(name, help=kind.help, parents=obs)
+        kind.add_arguments(local)
+        for flag, options in kind.local:
+            local.add_argument(flag, **options)
+        local.set_defaults(handler=cmd_job, kind=kind.name)
 
     # ------------------------------------------------------------------
     # The service tier: serve / submit / jobs (repro.service)
@@ -1313,11 +835,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout", type=float, default=600.0, metavar="SECONDS",
         help="--wait gives up after this long (default 600)",
     )
-    submit_parent.add_argument("--seed", type=int, default=42)
-    submit_parent.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes the job runs with (default 1)",
-    )
 
     submit_command = commands.add_parser(
         "submit",
@@ -1326,91 +843,13 @@ def build_parser() -> argparse.ArgumentParser:
     submit_commands = submit_command.add_subparsers(
         dest="submit_command", required=True
     )
-    submit_obs = [observability, service_parent, submit_parent]
-
-    submit_campaign = submit_commands.add_parser(
-        "campaign", help="submit a fault-injection campaign",
-        parents=submit_obs,
-    )
-    submit_campaign.add_argument(
-        "target",
-        help="workload name, assembly file, or `all` (one job per "
-             "workload — the preset's roster, or the whole suite)",
-    )
-    submit_campaign.add_argument(
-        "--preset", metavar="NAME", choices=CAMPAIGN_PRESET_CHOICES,
-        help="named campaign from repro.exec.presets",
-    )
-    submit_campaign.add_argument(
-        "--scale", choices=("tiny", "small", "default"), default=None,
-    )
-    submit_campaign.add_argument("--faults", type=int, default=None)
-    submit_campaign.add_argument("--chunk", type=int, default=16)
-    submit_campaign.add_argument(
-        "--batch-size", type=int, default=None, metavar="N",
-    )
-    submit_campaign.add_argument(
-        "--backend", choices=BACKEND_CHOICES, default=None,
-    )
-    submit_campaign.add_argument("--iht", type=int, default=8)
-    submit_campaign.add_argument("--hash", default="xor")
-    submit_campaign.add_argument("--policy", default="lru_half")
-    submit_campaign.set_defaults(handler=cmd_submit_campaign)
-
-    submit_dse = submit_commands.add_parser(
-        "dse", help="submit a design-space sweep", parents=submit_obs
-    )
-    submit_dse.add_argument(
-        "--preset", metavar="NAME",
-        help="named space from repro.dse.presets",
-    )
-    submit_dse.add_argument("--hash", action="append", metavar="NAME")
-    submit_dse.add_argument("--iht", type=int, action="append", metavar="N")
-    submit_dse.add_argument("--policy", action="append", metavar="NAME")
-    submit_dse.add_argument("--workload", action="append", metavar="NAME")
-    submit_dse.add_argument(
-        "--scale", choices=("tiny", "small", "default"), default=None,
-    )
-    submit_dse.add_argument(
-        "--backend", choices=BACKEND_CHOICES, default="golden",
-    )
-    submit_dse.add_argument("--chunk", type=int, default=4)
-    submit_dse.set_defaults(handler=cmd_submit_dse)
-
-    submit_attack = submit_commands.add_parser(
-        "attack", help="submit an adversarial tampering sweep",
-        parents=submit_obs,
-    )
-    submit_attack.add_argument(
-        "target", help="workload name, or `all` (one job per workload)"
-    )
-    submit_attack.add_argument(
-        "--scale", choices=("tiny", "small", "default"), default="tiny",
-    )
-    submit_attack.add_argument(
-        "--class", dest="attack_class", action="append", metavar="NAME",
-    )
-    submit_attack.add_argument("--per-class", type=int, default=4)
-    submit_attack.add_argument("--chunk", type=int, default=16)
-    submit_attack.add_argument(
-        "--backend", choices=BACKEND_CHOICES, default="golden",
-    )
-    submit_attack.add_argument("--iht", type=int, default=8)
-    submit_attack.add_argument("--hash", action="append", metavar="NAME")
-    submit_attack.add_argument("--policy", action="append", metavar="NAME")
-    submit_attack.set_defaults(handler=cmd_submit_attack)
-
-    submit_coverage = submit_commands.add_parser(
-        "coverage", help="submit a coverage corpus run", parents=submit_obs
-    )
-    submit_coverage.add_argument(
-        "corpus", choices=COVERAGE_CORPUS_CHOICES,
-    )
-    submit_coverage.add_argument("--chunk", type=int, default=64)
-    submit_coverage.add_argument(
-        "--batch-size", type=int, default=None, metavar="N",
-    )
-    submit_coverage.set_defaults(handler=cmd_submit_coverage)
+    for kind in KINDS.values():
+        submit = submit_commands.add_parser(
+            kind.name, help=f"submit: {kind.help}",
+            parents=[observability, service_parent, submit_parent],
+        )
+        kind.add_arguments(submit)
+        submit.set_defaults(handler=cmd_submit, kind=kind.name)
 
     jobs_command = commands.add_parser(
         "jobs",
@@ -1440,90 +879,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="gracefully stop the server (running jobs resume on restart)",
     )
     jobs_command.set_defaults(handler=cmd_jobs)
-
-    dse_command = commands.add_parser(
-        "dse", help="design-space exploration (sweep / frontier / report)"
-    )
-    dse_commands = dse_command.add_subparsers(dest="dse_command", required=True)
-
-    sweep_command = dse_commands.add_parser(
-        "sweep", help="evaluate a monitor-configuration grid", parents=obs
-    )
-    sweep_command.add_argument(
-        "--preset", metavar="NAME",
-        help="named space from repro.dse.presets; any space flag given "
-             "explicitly overrides the preset's value",
-    )
-    sweep_command.add_argument(
-        "--hash", action="append", metavar="NAME",
-        help="hash-axis value (repeatable; default xor,crc32)",
-    )
-    sweep_command.add_argument(
-        "--iht", type=int, action="append", metavar="N",
-        help="IHT-entries axis value (repeatable; default 4,8,16,32)",
-    )
-    sweep_command.add_argument(
-        "--policy", action="append", metavar="NAME",
-        help="replacement-policy axis value (repeatable; default lru_half)",
-    )
-    sweep_command.add_argument(
-        "--penalty", type=int, action="append", metavar="CYCLES",
-        help="OS miss-penalty axis value (repeatable; default 100)",
-    )
-    sweep_command.add_argument(
-        "--workload", action="append", metavar="NAME",
-        help="workload measured per point (repeatable; "
-             "default sha,dijkstra,bitcount)",
-    )
-    sweep_command.add_argument(
-        "--scale", choices=("tiny", "small", "default"), default=None,
-        help="workload build scale (default tiny)",
-    )
-    sweep_command.add_argument(
-        "--adversary", choices=("attacks", "same-column", "none"),
-        default=None,
-        help="detection-objective source (default: the attack corpus)",
-    )
-    sweep_command.add_argument(
-        "--class", dest="attack_class", action="append", metavar="NAME",
-        help="attack class for --adversary attacks (repeatable; default all)",
-    )
-    sweep_command.add_argument(
-        "--per-class", type=int, default=None,
-        help="scenarios sampled per attack class (default 4)",
-    )
-    sweep_command.add_argument(
-        "--pair-count", type=int, default=None,
-        help="pairs per workload for --adversary same-column (default 24)",
-    )
-    sweep_command.add_argument("--seed", type=int, default=42)
-    sweep_command.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes (default 1: serial, in-process)",
-    )
-    sweep_command.add_argument(
-        "--chunk", type=int, default=4,
-        help="configurations per shard (the unit of distribution and resume)",
-    )
-    sweep_command.add_argument(
-        "--backend", choices=BACKEND_CHOICES, default="golden",
-        help="campaign backend for detection objectives (default golden; "
-             "pipeline-golden additionally scores measured_cycle_overhead "
-             "on the cycle-level pipeline; see `campaign --backend`)",
-    )
-    sweep_command.add_argument(
-        "--out", help="stream per-point JSONL records to this file"
-    )
-    sweep_command.add_argument(
-        "--resume", action="store_true",
-        help="skip shards already committed to --out",
-    )
-    sweep_command.add_argument(
-        "--stop-after-shards", type=int, default=None, metavar="N",
-        help="run at most N new shards then exit with partial results "
-             "(kill/resume exercise used by `make harness-smoke`)",
-    )
-    sweep_command.set_defaults(handler=cmd_dse_sweep)
 
     frontier_command = dse_commands.add_parser(
         "frontier", help="Pareto frontier of a sweep file", parents=obs
@@ -1556,45 +911,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report_command.set_defaults(handler=cmd_dse_report)
 
-    coverage_command = commands.add_parser(
-        "coverage",
-        help="exhaustive ground-truth coverage matrices (run/diff/check)",
-    )
-    coverage_commands = coverage_command.add_subparsers(
-        dest="coverage_command", required=True
-    )
-
-    def _coverage_exec_flags(sub):
-        sub.add_argument(
-            "--workers", type=int, default=1,
-            help="worker processes (default 1: serial, in-process)",
-        )
-        sub.add_argument(
-            "--chunk", type=int, default=64,
-            help="injections per shard (default 64; an execution knob — "
-                 "the matrix is identical for any value)",
-        )
-        sub.add_argument(
-            "--batch-size", type=int, default=None, metavar="N",
-            help="injections per batched-kernel call within a shard "
-                 "(see `campaign --batch-size`)",
-        )
-
-    coverage_run_command = coverage_commands.add_parser(
-        "run", help="execute a named corpus and write its matrix",
-        parents=obs,
-    )
-    coverage_run_command.add_argument(
-        "corpus", choices=COVERAGE_CORPUS_CHOICES,
-        help="named corpus from repro.coverage "
-             f"({', '.join(COVERAGE_CORPUS_CHOICES)})",
-    )
-    coverage_run_command.add_argument(
-        "--out", help="artifact path (default: results/coverage/<name>.json)"
-    )
-    _coverage_exec_flags(coverage_run_command)
-    coverage_run_command.set_defaults(handler=cmd_coverage_run)
-
     coverage_diff_command = coverage_commands.add_parser(
         "diff",
         help="re-derive a committed matrix and report per-cell deltas",
@@ -1612,7 +928,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict the re-derivation and comparison to these corpus "
              "targets (repeatable; default: the whole corpus)",
     )
-    _coverage_exec_flags(coverage_diff_command)
+    KINDS["coverage"].add_arguments(coverage_diff_command, fields_only=True)
     coverage_diff_command.set_defaults(handler=cmd_coverage_diff)
 
     coverage_check_command = coverage_commands.add_parser(

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import replace
 
 from repro.attacks.corpus import resolve_classes
 from repro.attacks.scenario import AttackScenario
@@ -34,9 +33,8 @@ from repro.coverage.matrix import (
 )
 from repro.coverage.spec import PAIR_SUBJECT, CoverageSpec
 from repro.errors import ConfigurationError
-from repro.exec.runner import CampaignRunner
+from repro.exec.runner import config_runners
 from repro.exec.spec import CampaignSpec
-from repro.faults.campaign import FaultCampaign
 from repro.obs import core as obs
 from repro.obs import metrics as obs_metrics
 from repro.utils.atomic import write_atomic
@@ -47,27 +45,14 @@ from repro.utils.atomic import write_atomic
 COVERAGE_CHUNK_SIZE = 64
 
 
-def _campaign_spec(
-    spec: CoverageSpec, target: str, hash_name: str, policy_name: str
-) -> CampaignSpec:
-    if spec.workloads:
-        return CampaignSpec(
-            workload=target,
-            scale=spec.scale,
-            iht_size=spec.iht_size,
-            hash_name=hash_name,
-            policy_name=policy_name,
-            backend=spec.backend,
-        )
+def _program_spec(spec: CoverageSpec, target: str) -> CampaignSpec:
+    program = (
+        {"workload": target}
+        if spec.workloads
+        else {"source": spec.source, "name": spec.source_name}
+    )
     return CampaignSpec(
-        workload=None,
-        source=spec.source,
-        name=spec.source_name,
-        scale=spec.scale,
-        iht_size=spec.iht_size,
-        hash_name=hash_name,
-        policy_name=policy_name,
-        backend=spec.backend,
+        **program, scale=spec.scale, iht_size=spec.iht_size, backend=spec.backend
     )
 
 
@@ -123,55 +108,33 @@ def run_coverage(
     master = obs.Telemetry(enabled=collect)
     all_shards: list[dict] = []
     for target in spec.targets():
-        base_context = None
-        items: list = []
-        for hash_name in spec.hash_names:
-            for policy_name in spec.policy_names:
-                campaign_spec = _campaign_spec(
-                    spec, target, hash_name, policy_name
+        items = None
+        for runner in config_runners(
+            _program_spec(spec, target), spec.hash_names, spec.policy_names,
+            workers=workers, chunk_size=chunk_size, batch_size=batch_size,
+        ):
+            hash_name, policy_name = runner.spec.hash_name, runner.spec.policy_name
+            if items is None:
+                # One enumeration per target: the fault space depends only
+                # on the program image and its executed blocks.
+                items = enumerator.enumerate(runner.campaign.context)
+                obs.count("coverage.targets")
+            result = runner.run(items, seed=spec.seed)
+            total_injections += len(result.records)
+            obs.count("coverage.injections", len(result.records))
+            if collect:
+                master.merge(result.telemetry)
+                for entry in result.shard_stats:
+                    # Renumber: inner campaigns all shard from 0.
+                    all_shards.append({**entry, "shard": len(all_shards)})
+            cells.extend(
+                _reduce_target(spec, target, hash_name, policy_name, result.records)
+            )
+            if progress is not None:
+                progress(
+                    f"{spec.name}: {target} hash={hash_name} "
+                    f"policy={policy_name}: {len(result.records)} injections"
                 )
-                if base_context is None:
-                    # One golden run and one enumeration per target: the
-                    # fault space depends only on the program image and
-                    # its executed blocks, never on the monitor config.
-                    base_context = campaign_spec.build_context()
-                    items = enumerator.enumerate(base_context)
-                    obs.count("coverage.targets")
-                campaign = FaultCampaign.from_context(
-                    replace(
-                        base_context,
-                        hash_name=hash_name,
-                        policy_name=policy_name,
-                    )
-                )
-                runner = CampaignRunner(
-                    campaign_spec,
-                    workers=workers,
-                    chunk_size=chunk_size,
-                    campaign=campaign,
-                    batch_size=batch_size,
-                )
-                result = runner.run(items, seed=spec.seed)
-                total_injections += len(result.records)
-                obs.count("coverage.injections", len(result.records))
-                if collect:
-                    master.merge(result.telemetry)
-                    for entry in result.shard_stats:
-                        # Renumber: inner campaigns all shard from 0.
-                        all_shards.append(
-                            {**entry, "shard": len(all_shards)}
-                        )
-                cells.extend(
-                    _reduce_target(
-                        spec, target, hash_name, policy_name, result.records
-                    )
-                )
-                if progress is not None:
-                    progress(
-                        f"{spec.name}: {target} hash={hash_name} "
-                        f"policy={policy_name}: {len(result.records)} "
-                        "injections"
-                    )
     if collect:
         # Inner harness runs drain ambient telemetry into their own
         # snapshots (already merged above); pick up the remainder the

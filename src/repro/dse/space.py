@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 from repro.cic.hashes import HASH_ALGORITHMS
 from repro.errors import ConfigurationError
 from repro.osmodel.policies import POLICIES
-from repro.workloads.suite import WORKLOAD_NAMES
+from repro.workloads.suite import SCALES, WORKLOAD_NAMES
 
 #: Schema version stamped into sweep-file headers.
 DSE_VERSION = 1
@@ -33,9 +33,6 @@ DSE_VERSION = 1
 #: two-bit pairs of the §6.3 analysis, or not at all (miss-rate / area /
 #: overhead sweeps such as the Figure-6 preset).
 ADVERSARIES = ("attacks", "same-column", "none")
-
-#: Workload build scales the suite understands.
-SCALES = ("tiny", "small", "default")
 
 
 @dataclass(frozen=True, slots=True)

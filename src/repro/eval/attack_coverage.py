@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.attacks.corpus import AttackCorpus, resolve_classes
 from repro.attacks.scenario import AttackScenario
 from repro.errors import ConfigurationError
-from repro.exec.runner import DEFAULT_CHUNK_SIZE, CampaignRunner
+from repro.exec.runner import DEFAULT_CHUNK_SIZE, config_runners
 from repro.exec.spec import CampaignSpec
-from repro.faults.campaign import CampaignReport, FaultCampaign, Outcome
+from repro.faults.campaign import CampaignReport, Outcome
 from repro.utils.seeds import derive_seed
 from repro.utils.tables import TextTable
 
@@ -234,63 +234,43 @@ def run_attack_coverage(
         per_class=per_class,
         seed=seed,
     )
-    base_context = None
-    scenarios: list = []
-    for hash_name in hash_names:
-        for policy_name in policy_names:
-            spec = CampaignSpec(
-                workload=workload,
-                scale=scale,
-                source=source,
-                name=name,
-                iht_size=iht_size,
-                hash_name=hash_name,
-                policy_name=policy_name,
-                inputs=None if inputs is None else tuple(inputs),
-                backend=backend,
-            )
-            if base_context is None:
-                # One parent-side golden run and one corpus enumeration
-                # serve every configuration: both depend only on the
-                # program and its inputs, never on hash/policy.
-                base_context = spec.build_context()
-                corpus = AttackCorpus.from_context(base_context)
-                scenarios = corpus.build(
-                    class_names, per_class=per_class, seed=seed
-                )
-            cell_campaign = FaultCampaign.from_context(
-                replace(
-                    base_context,
+    program = CampaignSpec(
+        workload=workload,
+        scale=scale,
+        source=source,
+        name=name,
+        iht_size=iht_size,
+        inputs=None if inputs is None else tuple(inputs),
+        backend=backend,
+    )
+    scenarios = None
+    for runner in config_runners(
+        program, hash_names, policy_names, workers=workers, chunk_size=chunk_size
+    ):
+        hash_name, policy_name = runner.spec.hash_name, runner.spec.policy_name
+        if scenarios is None:
+            # One corpus enumeration serves every configuration: it
+            # depends only on the program and its inputs.
+            corpus = AttackCorpus.from_context(runner.campaign.context)
+            scenarios = corpus.build(class_names, per_class=per_class, seed=seed)
+        cell_out = _cell_out_path(out, hash_name, policy_name, multi)
+        campaign = runner.run(
+            scenarios,
+            seed=sweep_seed(seed, class_names, per_class),
+            out=cell_out,
+            resume=resume,
+        )
+        if cell_out is not None:
+            result.out_files.append(os.fspath(cell_out))
+        for attack_class, report in _split_by_class(campaign, class_names).items():
+            result.cells.append(
+                ClassCoverage(
+                    attack_class=attack_class,
                     hash_name=hash_name,
                     policy_name=policy_name,
+                    report=report,
                 )
             )
-            runner = CampaignRunner(
-                spec,
-                workers=workers,
-                chunk_size=chunk_size,
-                campaign=cell_campaign,
-            )
-            cell_out = _cell_out_path(out, hash_name, policy_name, multi)
-            campaign = runner.run(
-                scenarios,
-                seed=sweep_seed(seed, class_names, per_class),
-                out=cell_out,
-                resume=resume,
-            )
-            if cell_out is not None:
-                result.out_files.append(os.fspath(cell_out))
-            for attack_class, report in _split_by_class(
-                campaign, class_names
-            ).items():
-                result.cells.append(
-                    ClassCoverage(
-                        attack_class=attack_class,
-                        hash_name=hash_name,
-                        policy_name=policy_name,
-                        report=report,
-                    )
-                )
     return result
 
 

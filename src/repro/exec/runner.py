@@ -33,9 +33,10 @@ it (:mod:`repro.exec.sharing`).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Iterator
 
+from repro.errors import ConfigurationError
 from repro.obs import core as obs
 from repro.faults.campaign import (
     CampaignContext,
@@ -224,6 +225,8 @@ class CampaignRunner:
         self._workspace: Workspace | None = workspace
         self._factory = CampaignWorkspaceFactory(spec, batch_size=batch_size)
         validate_plan(workers=workers, chunk_size=chunk_size)
+        if batch_size is not None and batch_size < 1:
+            raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
 
     @property
     def campaign(self) -> FaultCampaign:
@@ -304,3 +307,24 @@ class CampaignRunner:
             telemetry=result.telemetry,
             shard_stats=result.shard_stats,
         )
+
+
+def config_runners(
+    spec: CampaignSpec, hash_names, policy_names, **options
+) -> Iterator[CampaignRunner]:
+    """One runner per hash × policy configuration of *spec*'s program.
+
+    The parent-side golden run is recorded once, for the first
+    configuration, and shared: the program and its inputs fix it, never
+    the monitor configuration.  *options* go to every runner.
+    """
+    base = None
+    for hash_name in hash_names:
+        for policy_name in policy_names:
+            cell = replace(spec, hash_name=hash_name, policy_name=policy_name)
+            if base is None:
+                base = cell.build_context()
+            context = replace(base, hash_name=hash_name, policy_name=policy_name)
+            yield CampaignRunner(
+                cell, campaign=FaultCampaign.from_context(context), **options
+            )

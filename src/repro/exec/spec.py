@@ -18,10 +18,13 @@ from dataclasses import asdict, dataclass
 
 from repro.asm.assembler import assemble
 from repro.asm.program import Program
+from repro.cic.hashes import get_hash
 from repro.errors import ConfigurationError
 from repro.exec.backends import BACKENDS, get_backend
 from repro.faults.campaign import CampaignContext, FaultCampaign, build_context
+from repro.osmodel.policies import get_policy
 from repro.utils.seeds import derive_seed
+from repro.workloads.suite import SCALES, WORKLOAD_NAMES
 
 #: Schema version stamped into headers; bump on incompatible changes.
 #: v2: the spec gained ``backend`` (full-replay vs golden-trace fork).
@@ -67,11 +70,25 @@ class CampaignSpec:
     backend: str = "full"
 
     def __post_init__(self) -> None:
+        """Reject at construction what would fail when the spec runs."""
         if (self.workload is None) == (self.source is None):
             raise ConfigurationError(
                 "CampaignSpec needs exactly one of workload= or source="
             )
-        get_backend(self.backend)  # raises on unknown names
+        if self.workload is not None and self.workload not in WORKLOAD_NAMES:
+            raise ConfigurationError(
+                f"unknown workload {self.workload!r}; "
+                f"available: {', '.join(WORKLOAD_NAMES)}"
+            )
+        if self.scale not in SCALES:
+            raise ConfigurationError(
+                f"unknown scale {self.scale!r}; choose from: {', '.join(SCALES)}"
+            )
+        get_hash(self.hash_name)  # each raises on unknown names
+        get_policy(self.policy_name)
+        get_backend(self.backend)
+        if self.iht_size < 1:
+            raise ConfigurationError(f"IHT size must be >= 1, got {self.iht_size}")
 
     # ------------------------------------------------------------------
     # Derivation (runs identically in the parent and in every worker)

@@ -11,10 +11,10 @@ users" north star actually requires:
     The wire format: line-delimited JSON over a unix or TCP socket, one
     request/response (or response stream) per line.
 :mod:`repro.service.jobs`
-    The job model: validated job descriptors for the four experiment
-    kinds (campaign / dse / attack / coverage), the append-only
-    crash-tolerant job **journal** the server replays on restart, and
-    job lifecycle states.
+    The job model: job descriptors validated through the four kinds'
+    descriptions (:mod:`repro.jobs`), the append-only crash-tolerant
+    job **journal** the server replays on restart, and job lifecycle
+    states.
 :mod:`repro.service.scheduler`
     The fair multi-tenant queue: per-client concurrency caps, integer
     priorities, FIFO tiebreak, cancellation.

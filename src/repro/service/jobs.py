@@ -3,12 +3,13 @@
 A **job** is one harness experiment owned by one client (tenant): a
 fault campaign, a DSE sweep, an attack sweep, or a coverage corpus run.
 Its descriptor is plain JSON — the same picklable-spec discipline as the
-execution tier — and is validated at submit time by *constructing the
-real spec objects* (:class:`~repro.exec.spec.CampaignSpec`,
+execution tier — and is validated at submit time by its kind's
+description (:mod:`repro.jobs`), which *constructs the real spec
+objects* (:class:`~repro.exec.spec.CampaignSpec`,
 :class:`~repro.dse.space.ConfigSpace`, :func:`~repro.coverage.spec.
 get_corpus`, ...): the schemas the execution layer already enforces are
 the schemas the service enforces, so a job that submits cleanly also
-runs cleanly.
+runs cleanly — and runs exactly as ``repro <kind>`` would.
 
 Lifecycle: ``queued`` → ``running`` → one of ``done`` / ``failed`` /
 ``cancelled``.  Every transition is appended to the **journal** — an
@@ -29,9 +30,10 @@ import time
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
+from repro.jobs import KINDS
 
-#: The four experiment kinds the service accepts.
-JOB_KINDS = ("campaign", "dse", "attack", "coverage")
+#: The four experiment kinds the service accepts (:mod:`repro.jobs`).
+JOB_KINDS = tuple(KINDS)
 
 #: Lifecycle states; the last three are terminal.
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
@@ -122,173 +124,38 @@ class ServiceJob:
 
 
 # ----------------------------------------------------------------------
-# Validation: build the real spec objects, surface their errors
+# Validation: the kind's own normalization plus server-only policy
 # ----------------------------------------------------------------------
-
-
-def _require_int(payload: dict, key: str, default: int, minimum: int = 1,
-                 maximum: int | None = None) -> int:
-    value = payload.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigurationError(f"job field {key!r} must be an integer")
-    if value < minimum:
-        raise ConfigurationError(f"job field {key!r} must be >= {minimum}")
-    if maximum is not None and value > maximum:
-        raise ConfigurationError(f"job field {key!r} must be <= {maximum}")
-    return value
-
-
-def _common_fields(payload: dict, chunk_default: int) -> dict:
-    return {
-        "seed": _require_int(payload, "seed", 42, minimum=0),
-        "workers": _require_int(
-            payload, "workers", 1, maximum=MAX_JOB_WORKERS
-        ),
-        "chunk_size": _require_int(payload, "chunk_size", chunk_default),
-    }
 
 
 def validate_job(payload: dict) -> dict:
     """Normalize a submitted job payload, or raise :class:`ConfigurationError`.
 
-    Validation constructs the execution layer's own spec objects, so the
-    accepted grammar is exactly what the harness runs; the returned dict
-    is the canonical descriptor payload (defaults filled, unknown keys
-    dropped) that the journal records and the executor consumes.
+    The kind's description (:mod:`repro.jobs`) validates by constructing
+    the execution layer's own spec objects, so the accepted grammar is
+    exactly what ``repro <kind>`` runs; the returned dict is the
+    canonical payload (defaults filled, unknown keys dropped) that the
+    journal records and the step loop consumes.  The worker ceiling is
+    the server's own policy: local runs stay uncapped.
     """
     if not isinstance(payload, dict):
         raise ConfigurationError("job payload must be a JSON object")
     kind = payload.get("kind")
-    if kind not in JOB_KINDS:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise ConfigurationError(
             f"unknown job kind {kind!r}; one of: {', '.join(JOB_KINDS)}"
         )
-    if kind == "campaign":
-        return _validate_campaign(payload)
-    if kind == "dse":
-        return _validate_dse(payload)
-    if kind == "attack":
-        return _validate_attack(payload)
-    return _validate_coverage(payload)
-
-
-def _validate_campaign(payload: dict) -> dict:
-    from repro.exec.spec import CampaignSpec
-
-    spec_data = payload.get("spec")
-    if not isinstance(spec_data, dict):
-        raise ConfigurationError("campaign job needs a 'spec' object")
-    try:
-        spec = CampaignSpec.from_json(spec_data)
-    except TypeError as error:
-        raise ConfigurationError(f"bad campaign spec: {error}") from error
-    preset = payload.get("preset")
-    if preset is not None:
-        from repro.exec.presets import get_campaign_preset
-
-        get_campaign_preset(preset)  # raises on unknown names
-    return {
-        "kind": "campaign",
-        "spec": spec.to_json(),
-        "faults": _require_int(payload, "faults", 64),
-        "preset": preset,
-        "batch_size": (
-            _require_int(payload, "batch_size", 1)
-            if payload.get("batch_size") is not None
-            else None
-        ),
-        **_common_fields(payload, chunk_default=16),
-    }
-
-
-def _validate_dse(payload: dict) -> dict:
-    from repro.dse import ConfigSpace, get_preset
-    from repro.exec.backends import get_backend
-
-    preset = payload.get("preset")
-    space_data = payload.get("space")
-    if preset is not None:
-        space = get_preset(preset)
-    elif isinstance(space_data, dict):
-        try:
-            space = ConfigSpace.from_json(space_data)
-        except TypeError as error:
-            raise ConfigurationError(f"bad DSE space: {error}") from error
-    else:
-        raise ConfigurationError("dse job needs a 'space' object or 'preset'")
-    backend = payload.get("backend", "golden")
-    get_backend(backend)  # raises on unknown names
-    return {
-        "kind": "dse",
-        "space": space.to_json(),
-        "backend": backend,
-        **_common_fields(payload, chunk_default=4),
-    }
-
-
-def _validate_attack(payload: dict) -> dict:
-    from repro.attacks.corpus import resolve_classes
-    from repro.exec.backends import get_backend
-    from repro.workloads.suite import WORKLOAD_NAMES
-
-    workload = payload.get("workload")
-    if workload not in WORKLOAD_NAMES:
+    payload = KINDS[kind].normalize(payload)
+    if payload["workers"] > MAX_JOB_WORKERS:
         raise ConfigurationError(
-            f"attack job needs workload= from: {', '.join(WORKLOAD_NAMES)}"
+            f"job field 'workers' must be <= {MAX_JOB_WORKERS}"
         )
-    classes = tuple(payload.get("classes") or ("all",))
-    resolve_classes(classes)  # raises on unknown names
-    backend = payload.get("backend", "golden")
-    get_backend(backend)
-    scale = payload.get("scale", "tiny")
-    if scale not in ("tiny", "small", "default"):
-        raise ConfigurationError(f"unknown scale {scale!r}")
-    return {
-        "kind": "attack",
-        "workload": workload,
-        "scale": scale,
-        "classes": list(classes),
-        "per_class": _require_int(payload, "per_class", 4),
-        "hash_names": list(payload.get("hash_names") or ("xor",)),
-        "policy_names": list(payload.get("policy_names") or ("lru_half",)),
-        "iht_size": _require_int(payload, "iht_size", 8),
-        "backend": backend,
-        **_common_fields(payload, chunk_default=16),
-    }
-
-
-def _validate_coverage(payload: dict) -> dict:
-    from repro.coverage import get_corpus
-
-    corpus = payload.get("corpus")
-    if not isinstance(corpus, str):
-        raise ConfigurationError("coverage job needs a 'corpus' name")
-    get_corpus(corpus)  # raises on unknown names
-    return {
-        "kind": "coverage",
-        "corpus": corpus,
-        "batch_size": (
-            _require_int(payload, "batch_size", 1)
-            if payload.get("batch_size") is not None
-            else None
-        ),
-        **_common_fields(payload, chunk_default=64),
-    }
+    return payload
 
 
 def job_label(payload: dict) -> str:
     """Human-readable label for listings (``sha-tiny``, ``dse:smoke`` ...)."""
-    kind = payload["kind"]
-    if kind == "campaign":
-        spec = payload["spec"]
-        target = spec.get("workload") or spec.get("name") or "inline"
-        return f"{target}-{spec.get('scale', '?')}"
-    if kind == "dse":
-        workloads = payload["space"].get("workloads", ())
-        return f"dse:{'+'.join(workloads)}"
-    if kind == "attack":
-        return f"attack:{payload['workload']}-{payload['scale']}"
-    return f"coverage:{payload['corpus']}"
+    return KINDS[payload["kind"]].label(payload)
 
 
 # ----------------------------------------------------------------------

@@ -44,6 +44,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, ReproError
+from repro.jobs import KINDS
 from repro.obs import core as obs
 from repro.obs.events import events_path
 from repro.obs.log import log
@@ -310,151 +311,29 @@ class ReproService:
 
     # -- executor-thread side ------------------------------------------
 
-    def _interrupted(self, cancel: threading.Event) -> str | None:
-        if cancel.is_set():
-            return "cancelled"
-        if self._draining:
-            return "interrupted"
-        return None
-
     def _execute(self, job: ServiceJob, cancel: threading.Event) -> str:
-        """Run one job to a terminal state (executor thread)."""
-        with obs.span("service.job"):
-            if job.kind == "campaign":
-                return self._execute_campaign(job, cancel)
-            if job.kind == "dse":
-                return self._execute_dse(job, cancel)
-            if job.kind == "attack":
-                return self._execute_attack(job, cancel)
-            return self._execute_coverage(job, cancel)
+        """Run one job to a terminal state (executor thread).
 
-    def _step_loop(self, job: ServiceJob, cancel: threading.Event, run_step) -> str:
-        """Drive *run_step* in ``step_shards`` increments to completion.
-
-        ``run_step(resume)`` executes at most one step and returns
-        ``(records_done, total, complete)``; the first step starts
-        fresh unless the job's results file already exists (restart
-        recovery), later steps always resume — the same file-level
-        protocol a human kill/resume uses.
+        The kind's run is built once per job (a campaign leases its
+        workspace here and keeps one runner across steps), then driven
+        ``step_shards`` shards at a time.  The first step starts fresh
+        unless the job is resuming or its results file exists (restart
+        recovery); later steps resume — the protocol a human kill/resume
+        uses.  Kinds without shard steps run whole in one step.
         """
-        while True:
-            interrupted = self._interrupted(cancel)
-            if interrupted is not None:
-                return interrupted
-            resume = os.path.exists(job.out)
-            records_done, total, complete = run_step(resume)
-            job.records_done = records_done
-            job.total = total
-            if complete:
-                return "done"
-
-    def _execute_campaign(self, job: ServiceJob, cancel: threading.Event) -> str:
-        from repro.exec.runner import CampaignRunner
-        from repro.exec.spec import CampaignSpec
-        from repro.faults.campaign import FaultCampaign
-
-        payload = job.payload
-        spec = CampaignSpec.from_json(payload["spec"])
-        workspace = self.cache.lease(spec)
-        campaign = FaultCampaign.from_context(workspace.context)
-        if payload.get("preset"):
-            from repro.exec.presets import get_campaign_preset
-
-            faults = get_campaign_preset(payload["preset"]).faults(
-                campaign, seed=payload["seed"]
-            )
-        else:
-            faults = campaign.random_single_bit(
-                payload["faults"], seed=payload["seed"]
-            )
-        runner = CampaignRunner(
-            spec,
-            workers=payload["workers"],
-            chunk_size=payload["chunk_size"],
-            campaign=campaign,
-            batch_size=payload.get("batch_size"),
-            workspace=workspace,
-        )
-
-        def run_step(resume: bool):
-            result = runner.run(
-                faults,
-                seed=payload["seed"],
-                out=job.out,
-                resume=resume,
-                stop_after_shards=self.config.step_shards,
-            )
-            return len(result.records), result.total, result.complete
-
-        return self._step_loop(job, cancel, run_step)
-
-    def _execute_dse(self, job: ServiceJob, cancel: threading.Event) -> str:
-        from repro.dse import ConfigSpace, DseSweep
-
-        payload = job.payload
-        sweep = DseSweep(
-            ConfigSpace.from_json(payload["space"]),
-            seed=payload["seed"],
-            workers=payload["workers"],
-            chunk_size=payload["chunk_size"],
-            backend=payload["backend"],
-        )
-
-        def run_step(resume: bool):
-            result = sweep.run(
-                out=job.out,
-                resume=resume,
-                stop_after_shards=self.config.step_shards,
-            )
-            return len(result.points), result.total, result.complete
-
-        return self._step_loop(job, cancel, run_step)
-
-    def _execute_attack(self, job: ServiceJob, cancel: threading.Event) -> str:
-        from repro.eval.attack_coverage import run_attack_coverage
-
-        payload = job.payload
-        interrupted = self._interrupted(cancel)
-        if interrupted is not None:
-            return interrupted
-        # One atomic run (per-cell campaigns inside resume individually
-        # after a restart); cancellation lands between jobs, not shards.
-        result = run_attack_coverage(
-            workload=payload["workload"],
-            scale=payload["scale"],
-            classes=tuple(payload["classes"]),
-            per_class=payload["per_class"],
-            hash_names=tuple(payload["hash_names"]),
-            policy_names=tuple(payload["policy_names"]),
-            iht_size=payload["iht_size"],
-            seed=payload["seed"],
-            workers=payload["workers"],
-            chunk_size=payload["chunk_size"],
-            out=job.out,
-            resume=job.resume,
-            backend=payload["backend"],
-        )
-        job.records_done = sum(cell.total for cell in result.cells)
-        job.total = job.records_done
-        return "done"
-
-    def _execute_coverage(self, job: ServiceJob, cancel: threading.Event) -> str:
-        from repro.coverage import get_corpus, run_coverage
-
-        payload = job.payload
-        interrupted = self._interrupted(cancel)
-        if interrupted is not None:
-            return interrupted
-        artifact = run_coverage(
-            get_corpus(payload["corpus"]),
-            workers=payload["workers"],
-            chunk_size=payload["chunk_size"],
-            batch_size=payload.get("batch_size"),
-            out=job.out,
-        )
-        job.records_done = artifact["manifest"]["total_injections"]
-        job.total = job.records_done
-        return "done"
+        kind = KINDS[job.kind]
+        with obs.span("service.job"):
+            step = kind.start(job.payload, lease=self.cache.lease)
+            while True:
+                if cancel.is_set():
+                    return "cancelled"
+                if self._draining:
+                    return "interrupted"
+                resume = job.resume or os.path.exists(job.out)
+                result = step(job.out, resume, self.config.step_shards)
+                job.records_done, job.total, complete = kind.progress(result)
+                if complete:
+                    return "done"
 
     # ------------------------------------------------------------------
     # The protocol front end
@@ -550,7 +429,7 @@ class ReproService:
         seq = self._next_seq
         self._next_seq += 1
         job_id = f"j{seq:05d}"
-        extension = ".json" if payload["kind"] == "coverage" else ".jsonl"
+        extension = KINDS[payload["kind"]].extension
         job = ServiceJob(
             id=job_id,
             client=client,
@@ -643,12 +522,12 @@ class ReproService:
             return True
         writer.write(encode_line(ok_response(job=job.status())))
         await writer.drain()
-        streams = [
-            ["event", events_path(job.out), 0],
-            ["record", job.out, 0],
-        ]
-        if job.kind == "coverage":
-            streams = []  # coverage artifacts are one JSON document
+        streams = []
+        if KINDS[job.kind].streams:
+            streams = [
+                ["event", events_path(job.out), 0],
+                ["record", job.out, 0],
+            ]
         while True:
             terminal = job.terminal
             progressed = False

@@ -21,6 +21,9 @@ WORKLOAD_NAMES: tuple[str, ...] = (
     "bitcount",
 )
 
+#: Build scales every workload understands.
+SCALES: tuple[str, ...] = ("tiny", "small", "default")
+
 
 def _module(name: str):
     if name not in WORKLOAD_NAMES:

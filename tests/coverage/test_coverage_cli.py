@@ -13,13 +13,14 @@ import json
 
 import pytest
 
-from repro.cli import COVERAGE_CORPUS_CHOICES, main
+from repro.cli import main
 from repro.coverage import (
     CORPORA,
     CoverageSpec,
     render_payload,
     run_coverage,
 )
+from repro.jobs import COVERAGE_CORPUS_CHOICES
 
 TOY_SOURCE = """
 main:   li $t0, 6

@@ -217,6 +217,25 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             CampaignRunner(spec, chunk_size=0)
 
+    @pytest.mark.parametrize("batch_size", [0, -2])
+    def test_bad_batch_size(self, spec, batch_size):
+        with pytest.raises(ConfigurationError, match="batch_size must be >= 1"):
+            CampaignRunner(spec, batch_size=batch_size)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"workload": "doom"}, "unknown workload 'doom'"),
+            ({"workload": "sha", "scale": "huge"}, "unknown scale 'huge'"),
+            ({"workload": "sha", "hash_name": "bogus"}, "unknown hash algorithm"),
+            ({"workload": "sha", "policy_name": "nope"}, "unknown replacement policy"),
+            ({"workload": "sha", "iht_size": 0}, "IHT size must be >= 1"),
+        ],
+    )
+    def test_spec_rejects_at_construction(self, fields, message):
+        with pytest.raises(ConfigurationError, match=message):
+            CampaignSpec(**fields)
+
 
 class TestCoverage:
     def test_all_single_bit_faults_detected(self, serial_result):

@@ -27,7 +27,8 @@ class TestValidateJob:
         )
         assert payload["kind"] == "campaign"
         assert payload["spec"]["workload"] == "sha"
-        assert payload["faults"] == 64
+        assert payload["faults"] == 200
+        assert payload["preset"] is None
         assert payload["seed"] == 42
         assert payload["workers"] == 1
         assert payload["chunk_size"] == 16
@@ -37,6 +38,30 @@ class TestValidateJob:
             {"kind": "campaign", "spec": {"source": SOURCE, "name": "inline"}}
         )
         assert payload["spec"]["source"] == SOURCE
+
+    def test_campaign_preset_names_the_fault_plan(self):
+        payload = validate_job(
+            {"kind": "campaign", "spec": {"workload": "sha"}, "preset": "smoke"}
+        )
+        assert payload["preset"] == "smoke"
+        assert payload["faults"] is None
+        # The preset supplies scale and backend unless the spec names them.
+        assert payload["spec"]["scale"] == "tiny"
+        assert payload["spec"]["backend"] == "golden"
+        assert validate_job(payload) == payload
+
+    def test_explicit_faults_override_the_preset_plan(self):
+        payload = validate_job(
+            {
+                "kind": "campaign",
+                "spec": {"workload": "sha", "scale": "small"},
+                "preset": "smoke",
+                "faults": 10,
+            }
+        )
+        assert payload["preset"] is None
+        assert payload["faults"] == 10
+        assert payload["spec"]["scale"] == "small"
 
     def test_campaign_preset_checked(self):
         with pytest.raises(ConfigurationError, match="unknown campaign preset"):
@@ -56,6 +81,37 @@ class TestValidateJob:
         with pytest.raises(ConfigurationError, match="bad campaign spec"):
             validate_job(
                 {"kind": "campaign", "spec": {"workload": "sha", "nope": 1}}
+            )
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"workload": "doom"}, "unknown workload 'doom'"),
+            ({"workload": "sha", "scale": "huge"}, "unknown scale 'huge'"),
+            (
+                {"workload": "sha", "hash_name": "bogus"},
+                "unknown hash algorithm 'bogus'",
+            ),
+            ({"workload": "sha", "iht_size": 0}, "IHT size must be >= 1, got 0"),
+        ],
+    )
+    def test_campaign_spec_rejected_at_submit(self, spec, message):
+        with pytest.raises(ConfigurationError, match=message):
+            validate_job({"kind": "campaign", "spec": spec})
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("faults", -3, "'faults' \\(--faults\\) must be >= 1, got -3"),
+            ("batch_size", -2, "'batch_size' \\(--batch-size\\) must be >= 1"),
+            ("chunk_size", 0, "'chunk_size' \\(--chunk\\) must be >= 1"),
+            ("seed", "7", "'seed' must be an integer"),
+        ],
+    )
+    def test_campaign_field_bounds(self, field, value, message):
+        with pytest.raises(ConfigurationError, match=message):
+            validate_job(
+                {"kind": "campaign", "spec": {"workload": "sha"}, field: value}
             )
 
     def test_dse_preset(self):
@@ -84,19 +140,58 @@ class TestValidateJob:
         with pytest.raises(ConfigurationError, match="'space'"):
             validate_job({"kind": "dse"})
 
+    def test_dse_space_overrides_preset(self):
+        payload = validate_job(
+            {
+                "kind": "dse",
+                "preset": "smoke",
+                "space": {"hash_names": ["crc32"], "iht_sizes": [32]},
+            }
+        )
+        assert payload["space"]["hash_names"] == ["crc32"]
+        assert payload["space"]["iht_sizes"] == [32]
+        # Kept from the preset.
+        assert payload["space"]["workloads"] == ["sha", "bitcount"]
+        assert payload["space"]["per_class"] == 2
+        assert "preset" not in payload
+        assert validate_job(payload) == payload
+
     def test_attack_defaults(self):
         payload = validate_job({"kind": "attack", "workload": "sha"})
-        assert payload["scale"] == "tiny"
-        assert payload["per_class"] == 4
+        assert payload["scale"] == "small"
+        assert payload["per_class"] == 8
         assert payload["classes"] == ["all"]
+        assert payload["backend"] == "full"
+
+    def test_attack_inline_source(self):
+        payload = validate_job(
+            {"kind": "attack", "source": SOURCE, "name": "inline", "inputs": [3]}
+        )
+        assert payload["source"] == SOURCE
+        assert payload["workload"] is None
+        assert payload["inputs"] == [3]
 
     def test_attack_unknown_workload(self):
         with pytest.raises(ConfigurationError, match="workload"):
             validate_job({"kind": "attack", "workload": "doom"})
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("hash_names", ["bogus"], "unknown hash algorithm 'bogus'"),
+            ("policy_names", ["nope"], "unknown replacement policy 'nope'"),
+            ("per_class", 0, "'per_class' \\(--per-class\\) must be >= 1"),
+            ("hash_names", "xor", "'hash_names' must be a non-empty list"),
+        ],
+    )
+    def test_attack_rejected_at_submit(self, field, value, message):
+        with pytest.raises(ConfigurationError, match=message):
+            validate_job({"kind": "attack", "workload": "sha", field: value})
+
     def test_coverage(self):
         payload = validate_job({"kind": "coverage", "corpus": "pairs-tiny"})
         assert payload["corpus"] == "pairs-tiny"
+        assert "seed" not in payload
 
     def test_coverage_unknown_corpus(self):
         with pytest.raises(ConfigurationError):
@@ -119,7 +214,7 @@ class TestValidateJob:
     def test_bool_is_not_an_integer(self):
         with pytest.raises(ConfigurationError, match="seed"):
             validate_job(
-                {"kind": "coverage", "corpus": "pairs-tiny", "seed": True}
+                {"kind": "campaign", "spec": {"workload": "sha"}, "seed": True}
             )
 
 
@@ -135,7 +230,7 @@ class TestJobLabel:
         )
         assert job_label(
             validate_job({"kind": "attack", "workload": "susan"})
-        ) == "attack:susan-tiny"
+        ) == "attack:susan-small"
         assert job_label(
             validate_job({"kind": "coverage", "corpus": "pairs-tiny"})
         ) == "coverage:pairs-tiny"

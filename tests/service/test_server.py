@@ -207,10 +207,10 @@ class TestExecution:
 
     def test_failed_job_reports_error(self, server):
         client = server.client()
-        # Valid grammar, impossible workload input: campaign spec with a
-        # source that assembles but a bogus workload is caught at submit;
-        # to reach the *runtime* failure path we use an unassemblable
-        # source (validation does not assemble).
+        # A bogus workload, scale, hash, policy or IHT size is refused at
+        # submit (test_jobs.py); to reach the *runtime* failure path the
+        # spec carries a source that does not assemble, since validation
+        # builds nothing.
         job = client.submit(
             campaign_job(spec={"source": "bogus $$$", "name": "broken"})
         )
@@ -361,3 +361,73 @@ class TestRestart:
             assert statuses[job["id"]]["records_done"] == FAULTS
         finally:
             second.stop()
+
+
+class TestJournalCompatibility:
+    """Journals keep replaying across payload-format changes."""
+
+    def test_earlier_canonical_payloads_replay_and_finish(
+        self, tmp_path, monkeypatch
+    ):
+        """One job per kind, each payload exactly as the earlier
+        per-kind validators canonicalized it: a campaign naming both a
+        preset and a fault count (the preset's plan runs), an attack
+        with no source or inputs, and a coverage job that still carries
+        the seed it never used."""
+        from repro.coverage import CORPORA, CoverageSpec
+
+        monkeypatch.setitem(
+            CORPORA,
+            "toy",
+            CoverageSpec(
+                name="toy", kind="pairs", source=SOURCE, source_name="toy.s",
+                hash_names=("xor",), policy_names=("lru_half",),
+            ),
+        )
+        spec = CampaignSpec.from_json({**SPEC_JSON, "backend": "golden"}).to_json()
+        payloads = [
+            {"kind": "campaign", "spec": spec, "preset": "smoke", "faults": 200,
+             "batch_size": None, "seed": SEED, "workers": 1, "chunk_size": 4},
+            {"kind": "dse", "backend": "golden", "seed": 42, "workers": 1,
+             "chunk_size": 4,
+             "space": {"hash_names": ["xor"], "iht_sizes": [4],
+                       "policy_names": ["lru_half"], "miss_penalties": [100],
+                       "workloads": ["sha"], "scale": "tiny", "adversary": "none",
+                       "attack_classes": ["all"], "per_class": 4,
+                       "pair_count": 24}},
+            {"kind": "attack", "workload": "bitcount", "scale": "tiny",
+             "classes": ["all"], "per_class": 1, "hash_names": ["xor"],
+             "policy_names": ["lru_half"], "iht_size": 8, "backend": "golden",
+             "seed": 42, "workers": 1, "chunk_size": 16},
+            {"kind": "coverage", "corpus": "toy", "batch_size": None, "seed": 42,
+             "workers": 1, "chunk_size": 64},
+        ]
+        state_dir = tmp_path / "svc"
+        jobs_dir = state_dir / "jobs"
+        jobs_dir.mkdir(parents=True)
+        with open(state_dir / "journal.jsonl", "w", encoding="utf-8") as handle:
+            for seq, payload in enumerate(payloads):
+                job_id = f"j{seq:05d}"
+                extension = ".json" if payload["kind"] == "coverage" else ".jsonl"
+                job = {
+                    "id": job_id, "client": "t", "kind": payload["kind"],
+                    "seq": seq, "priority": 0, "payload": payload,
+                    "out": str(jobs_dir / (job_id + extension)), "label": "",
+                }
+                handle.write(json.dumps({"type": "job-submitted", "job": job}) + "\n")
+            handle.write(
+                json.dumps({"type": "job-state", "id": "j00000", "state": "running"})
+                + "\n"
+            )
+        handle = ServerHandle(state_dir, max_jobs=1).start()
+        try:
+            client = handle.client()
+            finals = [
+                client.wait(f"j{seq:05d}", timeout=180)
+                for seq in range(len(payloads))
+            ]
+        finally:
+            handle.stop()
+        assert [final["state"] for final in finals] == ["done"] * 4, finals
+        assert finals[0]["records_done"] == 32  # the smoke preset's plan
+        assert finals[1]["records_done"] == 1

@@ -123,6 +123,15 @@ class TestCampaign:
         assert main(["campaign", "no-such-workload"]) == 1
         assert "unknown target" in capsys.readouterr().err
 
+    def test_bad_batch_size_commits_nothing(self, capsys, tmp_path):
+        out = tmp_path / "campaign.jsonl"
+        assert main(
+            ["campaign", "sha", "--scale", "tiny", "--backend", "golden",
+             "--faults", "6", "--batch-size", "-2", "--out", str(out)]
+        ) == 1
+        assert "--batch-size) must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVersion:
     def test_version_flag(self, capsys):
@@ -132,7 +141,42 @@ class TestVersion:
         assert f"repro {__version__}" in capsys.readouterr().out
 
 
+def _loaded_packages(body: str) -> set[str]:
+    """The ``repro`` subpackages a fresh interpreter has loaded after
+    ``import repro.cli`` and *body*."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = (
+        "import contextlib, io, json, sys, repro.cli\n"
+        f"{body}\n"
+        "print(json.dumps(sorted({name.split('.')[1] for name in sys.modules\n"
+        "                         if name.startswith('repro.')})))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return set(json.loads(done.stdout.strip().splitlines()[-1]))
+
+
+def _quiet_main(argv: list[str]) -> str:
+    return (
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert repro.cli.main({argv!r}) == 0"
+    )
+
+
 class TestImportFootprint:
+    """Each job kind imports its runner only when it runs: the parser and
+    the lighter commands never pay for the heavier kinds' stacks."""
+
     def test_cli_import_skips_networkx_and_meister(self):
         """Every process start imports the CLI; neither the undeclared
         graph library nor the ASIP Meister flow belongs on that path."""
@@ -154,6 +198,28 @@ class TestImportFootprint:
             check=True,
         )
         assert done.stdout.strip() == "[]"
+
+    def test_parser_loads_no_job_runner(self):
+        loaded = _loaded_packages("repro.cli.build_parser()")
+        assert not loaded & {
+            "exec", "dse", "service", "coverage", "eval", "attacks"
+        }
+
+    def test_campaign_loads_no_other_kind(self, tmp_path):
+        loaded = _loaded_packages(_quiet_main([
+            "campaign", "sha", "--scale", "tiny", "--backend", "golden",
+            "--faults", "4", "--out", str(tmp_path / "c.jsonl"),
+        ]))
+        assert "exec" in loaded
+        assert not loaded & {"dse", "service", "coverage", "eval"}
+
+    def test_dse_sweep_loads_no_service_or_coverage(self, tmp_path):
+        loaded = _loaded_packages(_quiet_main([
+            "dse", "sweep", "--hash", "xor", "--iht", "4", "--workload",
+            "sha", "--adversary", "none", "--out", str(tmp_path / "d.jsonl"),
+        ]))
+        assert "dse" in loaded
+        assert not loaded & {"service", "coverage"}
 
 
 class TestExitCodes:
@@ -302,18 +368,18 @@ class TestWorkload:
 
 
 class TestChoiceMirrors:
-    """The parser's literal choice tuples (kept literal so build_parser
+    """The job kinds' literal choice tuples (kept literal so build_parser
     stays free of the repro.exec import stack) must track the live
     registries."""
 
     def test_backend_choices_match_registry(self):
-        from repro.cli import BACKEND_CHOICES
         from repro.exec.backends import backend_names
+        from repro.jobs import BACKEND_CHOICES
 
         assert BACKEND_CHOICES == backend_names()
 
     def test_campaign_preset_choices_match_registry(self):
-        from repro.cli import CAMPAIGN_PRESET_CHOICES
         from repro.exec.presets import PRESETS
+        from repro.jobs import CAMPAIGN_PRESET_CHOICES
 
         assert CAMPAIGN_PRESET_CHOICES == tuple(PRESETS)
