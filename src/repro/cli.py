@@ -127,6 +127,7 @@ from repro.osmodel.loader import load_process
 from repro.pipeline.cpu import PipelineCPU
 from repro.pipeline.funcsim import FuncSim
 from repro.utils.atomic import write_atomic
+from repro.workloads.suite import SCALES, WORKLOAD_NAMES, build, workload_inputs
 
 #: Exit code signalling a detected integrity violation (vs 1 = tool error).
 EXIT_VIOLATION = 2
@@ -139,6 +140,11 @@ def _engine(name: str):
 def _read_source(path: str) -> str:
     with open(path, encoding="utf-8") as handle:
         return handle.read()
+
+
+def _print_console(result) -> None:
+    if result.console:
+        print(result.console, end="" if result.console.endswith("\n") else "\n")
 
 
 def cmd_asm(args: argparse.Namespace) -> int:
@@ -174,8 +180,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     program = assemble(_read_source(args.file), name=args.file)
     simulator = _engine(args.engine)(program, inputs=args.input or None)
     result = _run_profiled(args, simulator)
-    if result.console:
-        print(result.console, end="" if result.console.endswith("\n") else "\n")
+    _print_console(result)
     log.info(f"exit {result.exit_code}, {result.instructions} instructions, "
              f"{result.cycles} cycles ({args.engine})")
     return result.exit_code
@@ -198,8 +203,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     # A MonitorViolation exits 2 via main().
     result = _run_profiled(args, simulator)
     stats = result.monitor_stats
-    if result.console:
-        print(result.console, end="" if result.console.endswith("\n") else "\n")
+    _print_console(result)
     log.info(
         f"cycles {result.cycles}, lookups {stats.lookups}, "
         f"hits {stats.hits}, misses {stats.misses} "
@@ -210,8 +214,6 @@ def cmd_monitor(args: argparse.Namespace) -> int:
 
 
 def cmd_workload(args: argparse.Namespace) -> int:
-    from repro.workloads.suite import WORKLOAD_NAMES, build, workload_inputs
-
     if args.name not in WORKLOAD_NAMES:
         log.error(f"unknown workload {args.name!r}; "
                   f"choose from: {', '.join(WORKLOAD_NAMES)}")
@@ -225,7 +227,7 @@ def cmd_workload(args: argparse.Namespace) -> int:
     )
     result = _run_profiled(args, simulator)
     stats = result.monitor_stats
-    print(result.console, end="" if result.console.endswith("\n") else "\n")
+    _print_console(result)
     log.info(
         f"{args.name}[{args.scale}]: {result.instructions} instructions, "
         f"{result.cycles} cycles, miss rate {100 * stats.miss_rate:.2f}% "
@@ -262,9 +264,7 @@ def cmd_job(args: argparse.Namespace) -> int:
 def _service_client(args: argparse.Namespace):
     from repro.service.client import ServiceClient, default_socket_path
 
-    host = port = None
-    if getattr(args, "tcp", None):
-        host, port = args.tcp
+    host, port = args.tcp or (None, None)
     socket_path = args.socket or default_socket_path(args.state_dir)
     return ServiceClient(
         socket_path=None if host else socket_path,
@@ -277,9 +277,7 @@ def _service_client(args: argparse.Namespace):
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.server import ServiceConfig, run_server
 
-    host = port = None
-    if args.tcp:
-        host, port = args.tcp
+    host, port = args.tcp or (None, None)
     return run_server(
         ServiceConfig(
             state_dir=args.state_dir,
@@ -685,34 +683,33 @@ def build_parser() -> argparse.ArgumentParser:
     asm_command.add_argument("file")
     asm_command.set_defaults(handler=cmd_asm)
 
-    def _common_run_flags(sub):
-        sub.add_argument("--engine", choices=("func", "pipeline"), default="func")
-        sub.add_argument(
-            "--input", type=int, action="append",
-            help="queue an integer for read_int (repeatable)",
-        )
-
-    def _profile_flag(sub):
-        sub.add_argument(
-            "--profile", action="store_true",
-            help="print a host-time fetch/decode/execute/monitor phase "
-                 "breakdown of the run to stderr (repro.obs.PhaseProfiler)",
-        )
+    # Simulation flags shared by run / monitor / workload.
+    simulate = argparse.ArgumentParser(add_help=False)
+    simulate.add_argument("--engine", choices=("func", "pipeline"), default="func")
+    simulate.add_argument(
+        "--profile", action="store_true",
+        help="print a host-time fetch/decode/execute/monitor phase "
+             "breakdown of the run to stderr (repro.obs.PhaseProfiler)",
+    )
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument(
+        "--input", type=int, action="append",
+        help="queue an integer for read_int (repeatable)",
+    )
+    monitored = argparse.ArgumentParser(add_help=False)
+    monitored.add_argument("--iht", type=int, default=8)
+    monitored.add_argument("--hash", default="xor")
 
     run_command = commands.add_parser("run", help="execute unmonitored",
-                                      parents=obs)
+                                      parents=[*obs, simulate, inputs])
     run_command.add_argument("file")
-    _common_run_flags(run_command)
-    _profile_flag(run_command)
     run_command.set_defaults(handler=cmd_run)
 
-    monitor_command = commands.add_parser("monitor", help="execute monitored",
-                                          parents=obs)
+    monitor_command = commands.add_parser(
+        "monitor", help="execute monitored",
+        parents=[*obs, simulate, inputs, monitored],
+    )
     monitor_command.add_argument("file")
-    _common_run_flags(monitor_command)
-    _profile_flag(monitor_command)
-    monitor_command.add_argument("--iht", type=int, default=8)
-    monitor_command.add_argument("--hash", default="xor")
     monitor_command.add_argument("--policy", default="lru_half")
     monitor_command.add_argument(
         "--flip", action="append", metavar="ADDR:BIT",
@@ -720,17 +717,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     monitor_command.set_defaults(handler=cmd_monitor)
 
-    workload_command = commands.add_parser("workload", help="run a workload",
-                                           parents=obs)
-    workload_command.add_argument("name")
-    workload_command.add_argument(
-        "--scale", choices=("tiny", "small", "default"), default="small"
+    workload_command = commands.add_parser(
+        "workload", help="run a workload", parents=[*obs, simulate, monitored]
     )
-    workload_command.add_argument("--engine", choices=("func", "pipeline"),
-                                  default="func")
-    workload_command.add_argument("--iht", type=int, default=8)
-    workload_command.add_argument("--hash", default="xor")
-    _profile_flag(workload_command)
+    workload_command.add_argument("name")
+    workload_command.add_argument("--scale", choices=SCALES, default="small")
     workload_command.set_defaults(handler=cmd_workload)
 
     # ------------------------------------------------------------------
@@ -880,16 +871,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     jobs_command.set_defaults(handler=cmd_jobs)
 
-    frontier_command = dse_commands.add_parser(
-        "frontier", help="Pareto frontier of a sweep file", parents=obs
-    )
-    frontier_command.add_argument(
+    sweep_file = argparse.ArgumentParser(add_help=False)
+    sweep_file.add_argument(
         "points", help="JSONL sweep file written by `dse sweep --out`"
     )
-    frontier_command.add_argument(
+    sweep_file.add_argument(
         "--objective", action="append", metavar="NAME",
-        help="objective to optimize (repeatable; default "
+        help="objective of the frontier (repeatable; default "
              "area_overhead,detection_latency,miss_rate)",
+    )
+    frontier_command = dse_commands.add_parser(
+        "frontier", help="Pareto frontier of a sweep file",
+        parents=[*obs, sweep_file],
     )
     frontier_command.add_argument(
         "--json", help="also write the frontier as JSON to this file"
@@ -897,14 +890,8 @@ def build_parser() -> argparse.ArgumentParser:
     frontier_command.set_defaults(handler=cmd_dse_frontier)
 
     report_command = dse_commands.add_parser(
-        "report", help="ranked trade-off report of a sweep file", parents=obs
-    )
-    report_command.add_argument(
-        "points", help="JSONL sweep file written by `dse sweep --out`"
-    )
-    report_command.add_argument(
-        "--objective", action="append", metavar="NAME",
-        help="objective subset for the frontier (repeatable)",
+        "report", help="ranked trade-off report of a sweep file",
+        parents=[*obs, sweep_file],
     )
     report_command.add_argument(
         "--out", help="also write the rendered report to this file"
@@ -941,10 +928,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     coverage_check_command.set_defaults(handler=cmd_coverage_check)
 
+    # Live-follow flags shared by `stats --follow` and `top`.
+    follow = argparse.ArgumentParser(add_help=False)
+    follow.add_argument(
+        "--interval", type=float, default=0.2, metavar="SECONDS",
+        help="poll interval while following (default 0.2s)",
+    )
+    follow.add_argument(
+        "--timeout", type=float, default=None, metavar="SECONDS",
+        help="stop following (exit 1) after this long without a "
+             "run-finished event (default: wait forever)",
+    )
     stats_command = commands.add_parser(
         "stats",
         help="render, follow, export, or diff run telemetry",
-        parents=obs,
+        parents=[*obs, follow],
     )
     stats_command.add_argument(
         "path",
@@ -969,15 +967,6 @@ def build_parser() -> argparse.ArgumentParser:
              "or just the final summary when the run already finished",
     )
     stats_command.add_argument(
-        "--interval", type=float, default=0.2, metavar="SECONDS",
-        help="--follow poll interval (default 0.2s)",
-    )
-    stats_command.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="--follow gives up (exit 1) after this long without a "
-             "run-finished event (default: wait forever)",
-    )
-    stats_command.add_argument(
         "--export-trace", metavar="FILE",
         help="write the run as Chrome/Perfetto trace_event JSON "
              "(event timeline + span tree; open in ui.perfetto.dev)",
@@ -993,19 +982,10 @@ def build_parser() -> argparse.ArgumentParser:
         "top",
         help="live view of a running campaign/sweep "
              "(alias of `stats --follow`)",
-        parents=obs,
+        parents=[*obs, follow],
     )
     top_command.add_argument(
         "path", help="the run's results, metrics, or events file"
-    )
-    top_command.add_argument(
-        "--interval", type=float, default=0.2, metavar="SECONDS",
-        help="poll interval (default 0.2s)",
-    )
-    top_command.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="give up (exit 1) after this long without a run-finished "
-             "event (default: wait forever)",
     )
     top_command.set_defaults(
         handler=cmd_stats, follow=True, check=False,
@@ -1016,7 +996,7 @@ def build_parser() -> argparse.ArgumentParser:
         "experiments", help="regenerate paper tables/figures", parents=obs
     )
     experiments_command.add_argument(
-        "--scale", choices=("tiny", "small", "default"), default="default"
+        "--scale", choices=SCALES, default="default"
     )
     experiments_command.set_defaults(handler=cmd_experiments)
     return parser

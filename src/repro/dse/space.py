@@ -20,6 +20,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 
+from repro.attacks.corpus import resolve_classes
 from repro.cic.hashes import HASH_ALGORITHMS
 from repro.errors import ConfigurationError
 from repro.osmodel.policies import POLICIES
@@ -138,6 +139,7 @@ class ConfigSpace:
                 f"unknown adversary {self.adversary!r}; choose from: "
                 f"{', '.join(ADVERSARIES)}"
             )
+        resolve_classes(self.attack_classes)  # raises on unknown names
         if self.per_class < 1:
             raise ConfigurationError("per_class must be >= 1")
         if self.pair_count < 1:

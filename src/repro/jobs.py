@@ -25,12 +25,14 @@ from repro.errors import ConfigurationError
 from repro.obs import core as obs_core
 from repro.obs.log import log
 from repro.utils.atomic import write_atomic
+from repro.workloads.suite import SCALES, WORKLOAD_NAMES
 
-#: Mirrors of the execution-layer registries, spelled out so building the
-#: parser stays free of the repro.exec import stack; tests pin them.
+#: Mirrors of the execution-layer and DSE registries, spelled out so
+#: building the parser stays free of those import stacks; tests pin them.
 BACKEND_CHOICES = ("full", "golden", "pipeline-golden")
 CAMPAIGN_PRESET_CHOICES = ("exhaustive-single-bit", "smoke", "mibench-tiny")
 COVERAGE_CORPUS_CHOICES = ("pairs-tiny", "pairs-small", "attacks-tiny")
+ADVERSARY_CHOICES = ("attacks", "same-column", "none")
 
 
 @dataclass(frozen=True)
@@ -73,14 +75,17 @@ class Field:
         return list(value) if self.many else value
 
 
+def _choices(names) -> str:
+    return "{" + ",".join(names) + "}"
+
+
 def _scale(default: str, key: str = "scale", more: str = "") -> Field:
-    return Field(key, "--scale", default, metavar="{tiny,small,default}",
+    return Field(key, "--scale", default, metavar=_choices(SCALES),
                  help="workload build scale" + more)
 
 
 def _backend(default: str, key: str = "backend", more: str = "") -> Field:
-    return Field(key, "--backend", default,
-                 metavar="{" + ",".join(BACKEND_CHOICES) + "}",
+    return Field(key, "--backend", default, metavar=_choices(BACKEND_CHOICES),
                  help="injection execution backend: full replay, golden "
                       "fork-at-fault, or cycle-measuring pipeline-golden (see "
                       "docs/HARNESS.md and docs/PERFORMANCE.md)" + more)
@@ -119,8 +124,6 @@ STOP_AFTER_SHARDS = ("--stop-after-shards", {
 
 def resolve_target(target: str) -> dict:
     """``{"workload": name}`` or ``{"source": text, "name": path}``."""
-    from repro.workloads.suite import WORKLOAD_NAMES
-
     if target in WORKLOAD_NAMES:
         return {"workload": target}
     if os.path.exists(target):
@@ -207,8 +210,6 @@ class JobKind:
         return {**raw, **target}
 
     def roster(self, raw: dict) -> tuple[str, ...]:
-        from repro.workloads.suite import WORKLOAD_NAMES
-
         return WORKLOAD_NAMES
 
     def fill(self, payload: dict, base: dict | None = None) -> dict:
@@ -356,7 +357,7 @@ class DseKind(JobKind):
               "workload measured per point"),
         _scale("tiny", "space.scale"),
         Field("space.adversary", "--adversary", "attacks",
-              metavar="{attacks,same-column,none}",
+              metavar=_choices(ADVERSARY_CHOICES),
               help="detection-objective source"),
         _many("space.attack_classes", "--class", ("all",),
               "attack class for --adversary attacks"),
@@ -372,6 +373,7 @@ class DseKind(JobKind):
 
     def normalize(self, payload: dict) -> dict:
         from repro.dse import ConfigSpace, get_preset
+        from repro.exec.backends import get_backend
 
         values = self.fill(payload)
         preset = values["preset"]
@@ -384,6 +386,7 @@ class DseKind(JobKind):
             space = ConfigSpace.from_json(_section(payload, values, "space"))
         except TypeError as error:
             raise ConfigurationError(f"bad DSE space: {error}") from error
+        get_backend(values["backend"])  # raises on unknown names
         return {"kind": self.name, "space": space.to_json(),
                 **{key: values[key] for key in
                    ("backend", "seed", "workers", "chunk_size")}}

@@ -100,8 +100,9 @@ def resolve_metrics_path(path: str | os.PathLike) -> str:
     return resolve_events_path(target)[: -len(EVENTS_SUFFIX)] + _METRICS_SUFFIX
 
 
-def _dump_line(data: dict) -> str:
-    """One canonical JSONL line (same shape as the results wire format)."""
+def dump_line(data: dict) -> str:
+    """One canonical JSONL line (same shape as the results wire format;
+    the service journal writes its entries the same way)."""
     return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
 
 
@@ -128,7 +129,8 @@ def read_events(path: str | os.PathLike) -> list[dict]:
     """Every parseable event in *path*, torn/foreign lines skipped.
 
     A file whose final line was torn by a kill mid-append parses to its
-    valid prefix — the reader half of the crash-tolerance contract.
+    valid prefix — the reader half of the crash-tolerance contract, which
+    the service journal shares.
     """
     events: list[dict] = []
     with open(os.fspath(path), "rb") as handle:
@@ -195,7 +197,7 @@ class EventWriter:
         self._last_t = now
         event = {"type": kind, "seq": self._seq, "t": now, **fields}
         self._seq += 1
-        self._handle.write(_dump_line(event))
+        self._handle.write(dump_line(event))
         self._handle.flush()
         return event
 

@@ -24,13 +24,13 @@ shard in flight, exactly like killing a CLI campaign.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 from repro.jobs import KINDS
+from repro.obs.events import dump_line, read_events
 
 #: The four experiment kinds the service accepts (:mod:`repro.jobs`).
 JOB_KINDS = tuple(KINDS)
@@ -45,6 +45,14 @@ JOURNAL_ENTRY_TYPES = ("service-started", "job-submitted", "job-state")
 #: Hard ceilings on per-job execution knobs, so one tenant cannot
 #: request a pool bigger than the host.
 MAX_JOB_WORKERS = 16
+
+
+#: What a job's status and its journal descriptor carry (the status also
+#: carries the three timestamps).
+STATUS_FIELDS = ("id", "client", "kind", "label", "state", "priority",
+                 "records_done", "total", "out", "error")
+DESCRIPTOR_FIELDS = ("id", "client", "kind", "seq", "priority", "payload",
+                     "out", "label")
 
 
 @dataclass(slots=True)
@@ -74,53 +82,22 @@ class ServiceJob:
 
     def status(self) -> dict:
         """The JSON status clients see (``submit``/``jobs``/``status``)."""
-        return {
-            "id": self.id,
-            "client": self.client,
-            "kind": self.kind,
-            "label": self.label,
-            "state": self.state,
-            "priority": self.priority,
-            "records_done": self.records_done,
-            "total": self.total,
-            "out": self.out,
-            "error": self.error,
-            "submitted_t": round(self.submitted_t, 6),
-            "started_t": (
-                round(self.started_t, 6) if self.started_t is not None else None
-            ),
-            "finished_t": (
-                round(self.finished_t, 6)
-                if self.finished_t is not None
-                else None
-            ),
-        }
+        status = {key: getattr(self, key) for key in STATUS_FIELDS}
+        for key in ("submitted_t", "started_t", "finished_t"):
+            stamp = getattr(self, key)
+            status[key] = None if stamp is None else round(stamp, 6)
+        return status
 
     def descriptor(self) -> dict:
         """The journal-side identity: everything replay needs to rebuild."""
-        return {
-            "id": self.id,
-            "client": self.client,
-            "kind": self.kind,
-            "seq": self.seq,
-            "priority": self.priority,
-            "payload": self.payload,
-            "out": self.out,
-            "label": self.label,
-        }
+        return {key: getattr(self, key) for key in DESCRIPTOR_FIELDS}
 
     @classmethod
     def from_descriptor(cls, data: dict) -> "ServiceJob":
-        return cls(
-            id=data["id"],
-            client=data["client"],
-            kind=data["kind"],
-            seq=data["seq"],
-            priority=data["priority"],
-            payload=data["payload"],
-            out=data["out"],
-            label=data.get("label", ""),
-        )
+        """The job *data* describes; ``KeyError`` when a field other than
+        ``label`` is missing."""
+        fields = {key: data[key] for key in DESCRIPTOR_FIELDS if key != "label"}
+        return cls(**fields, label=data.get("label", ""))
 
 
 # ----------------------------------------------------------------------
@@ -162,36 +139,9 @@ def job_label(payload: dict) -> str:
 # The journal
 # ----------------------------------------------------------------------
 
-
-def _dump_line(data: dict) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _parse_line(line: bytes) -> dict | None:
-    try:
-        text = line.decode("utf-8").strip()
-    except UnicodeDecodeError:
-        return None
-    if not text:
-        return None
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError:
-        return None
-    if not isinstance(data, dict) or "type" not in data:
-        return None
-    return data
-
-
-def read_journal(path: str | os.PathLike) -> list[dict]:
-    """Every parseable journal entry; torn/foreign lines skipped."""
-    entries: list[dict] = []
-    with open(os.fspath(path), "rb") as handle:
-        for line in handle:
-            entry = _parse_line(line)
-            if entry is not None:
-                entries.append(entry)
-    return entries
+#: Every parseable journal entry, torn/foreign lines skipped: journal
+#: lines are event-log lines, so the event log's reader reads them.
+read_journal = read_events
 
 
 class Journal:
@@ -221,7 +171,7 @@ class Journal:
 
     def append(self, entry_type: str, **fields) -> dict:
         entry = {"type": entry_type, "t": round(time.time(), 6), **fields}
-        self._handle.write(_dump_line(entry))
+        self._handle.write(dump_line(entry))
         self._handle.flush()
         return entry
 

@@ -71,6 +71,7 @@ class TestConfigSpace:
             {"workloads": ("nosuch",)},
             {"scale": "huge"},
             {"adversary": "fuzzer"},
+            {"attack_classes": ("rowhammer",)},
             {"per_class": 0},
             {"pair_count": 0},
             {"hash_names": ("xor", "md5000")},

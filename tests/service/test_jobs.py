@@ -156,6 +156,20 @@ class TestValidateJob:
         assert "preset" not in payload
         assert validate_job(payload) == payload
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"backend": "bogus"}, "unknown backend 'bogus'"),
+            (
+                {"space": {"attack_classes": ["rowhammer"]}},
+                "unknown attack class 'rowhammer'",
+            ),
+        ],
+    )
+    def test_dse_rejected_at_submit(self, fields, message):
+        with pytest.raises(ConfigurationError, match=message):
+            validate_job({"kind": "dse", "preset": "smoke", **fields})
+
     def test_attack_defaults(self):
         payload = validate_job({"kind": "attack", "workload": "sha"})
         assert payload["scale"] == "small"

@@ -383,3 +383,9 @@ class TestChoiceMirrors:
         from repro.jobs import CAMPAIGN_PRESET_CHOICES
 
         assert CAMPAIGN_PRESET_CHOICES == tuple(PRESETS)
+
+    def test_adversary_choices_match_space(self):
+        from repro.dse.space import ADVERSARIES
+        from repro.jobs import ADVERSARY_CHOICES
+
+        assert ADVERSARY_CHOICES == ADVERSARIES

@@ -179,6 +179,8 @@ REFUSED = [
     ("dse", ["--hash", "bogus"], "unknown hash 'bogus'"),
     ("dse", ["--scale", "huge"], "unknown scale 'huge'"),
     ("dse", ["--preset", "nosuch"], "unknown preset"),
+    ("dse", ["--backend", "bogus"], "unknown backend 'bogus'"),
+    ("dse", ["--class", "rowhammer"], "unknown attack class 'rowhammer'"),
     ("coverage", ["everything"], "unknown coverage corpus 'everything'"),
 ]
 
