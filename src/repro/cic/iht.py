@@ -46,15 +46,6 @@ class TableStats:
             return 0.0
         return self.misses / self.lookups
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "lookups": self.lookups,
-            "hits": self.hits,
-            "misses": self.misses,
-            "mismatches": self.mismatches,
-            "miss_rate": self.miss_rate,
-        }
-
 
 class InternalHashTable:
     """Fully-associative expected-hash CAM with LRU bookkeeping."""
@@ -146,9 +137,6 @@ class InternalHashTable:
         for entry in self.entries:
             entry.valid = False
         self._index.clear()
-
-    def reset_stats(self) -> None:
-        self.stats = TableStats()
 
     # ------------------------------------------------------------------
     # Checkpointing (golden-trace campaign backend)

@@ -160,7 +160,7 @@ def _maybe_profile(args: argparse.Namespace, simulator):
     """Attach the opt-in phase profiler (``--profile``) to *simulator*."""
     if not getattr(args, "profile", False):
         return None
-    from repro.obs import PhaseProfiler
+    from repro.obs.profiler import PhaseProfiler
 
     return PhaseProfiler().attach(simulator)
 
@@ -459,9 +459,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _stats_render(args: argparse.Namespace) -> int:
-    from repro.obs import find_metrics, load_metrics, render_metrics
     from repro.obs.events import read_events, resolve_events_path
+    from repro.obs.metrics import load_metrics
     from repro.obs.schema import validate_events, validate_metrics
+    from repro.obs.stats import find_metrics, render_metrics
 
     files = find_metrics(args.path)
     if not files:
@@ -510,7 +511,7 @@ def _stats_render(args: argparse.Namespace) -> int:
 
 
 def _stats_follow(args: argparse.Namespace) -> int:
-    from repro.obs import follow_path
+    from repro.obs.stats import follow_path
 
     return follow_path(
         args.path,
@@ -521,7 +522,7 @@ def _stats_follow(args: argparse.Namespace) -> int:
 
 
 def _stats_export_trace(args: argparse.Namespace) -> int:
-    from repro.obs import export_trace
+    from repro.obs.trace import export_trace
 
     trace = export_trace(args.path, args.export_trace)
     log.info(
@@ -533,7 +534,7 @@ def _stats_export_trace(args: argparse.Namespace) -> int:
 
 
 def _stats_diff(args: argparse.Namespace) -> int:
-    from repro.obs import diff_artifacts, render_diff
+    from repro.obs.diff import diff_artifacts, render_diff
 
     if len(args.extra) != 2:
         log.error("error: usage: repro stats diff A B [--gate PCT]")
@@ -689,7 +690,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--profile", action="store_true",
         help="print a host-time fetch/decode/execute/monitor phase "
-             "breakdown of the run to stderr (repro.obs.PhaseProfiler)",
+             "breakdown of the run to stderr "
+             "(repro.obs.profiler.PhaseProfiler)",
     )
     inputs = argparse.ArgumentParser(add_help=False)
     inputs.add_argument(

@@ -58,7 +58,6 @@ from repro.exec.harness import (
     WorkspaceFactory,
     validate_plan,
 )
-from repro.exec.records import load_lines
 from repro.obs import core as obs
 from repro.faults.campaign import (
     CampaignContext,
@@ -71,6 +70,7 @@ from repro.dse.pareto import FrontierReport, pareto_frontier
 from repro.dse.space import DSE_VERSION, ConfigSpace, MonitorConfig
 from repro.osmodel.policies import get_policy
 from repro.pipeline.trace import executed_addresses
+from repro.utils.jsonl import read_lines
 from repro.utils.tables import TextTable
 from repro.workloads.suite import build, workload_inputs
 
@@ -518,7 +518,6 @@ class DseSweep:
         chunk_size: int = DEFAULT_DSE_CHUNK,
         backend: str = "golden",
         share: bool = True,
-        persistent: bool = True,
     ):
         validate_plan(workers=workers, chunk_size=chunk_size)
         get_backend(backend)  # raises on unknown names
@@ -528,9 +527,6 @@ class DseSweep:
         self.chunk_size = chunk_size
         self.backend = backend
         self.share = share
-        # Execution knob, never recorded in artifacts: reuse warm worker
-        # pools across runs and sweeps (:mod:`repro.exec.pool`).
-        self.persistent = persistent
         self._factory = DseWorkspaceFactory(space, seed, backend)
         self._workspace: DseWorkspace | None = None
 
@@ -578,7 +574,6 @@ class DseSweep:
             workers=self.workers,
             workspace_supplier=lambda: self.workspace,
             share=self.share,
-            persistent=self.persistent,
         )
         result = harness.run(
             out=out, resume=resume, stop_after_shards=stop_after_shards
@@ -605,7 +600,7 @@ def load_points(path) -> tuple[dict, list[DsePoint]]:
     frontier over whatever finished is still a valid frontier), and a
     point re-run after an interrupted shard collapses to its last copy.
     """
-    entries = load_lines(path)
+    entries = read_lines(path)
     if not entries or entries[0].get("type") != "header":
         raise ConfigurationError(f"{path}: not a DSE sweep file")
     by_index: dict[int, DsePoint] = {}

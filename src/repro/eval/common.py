@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from repro.asm.program import Program
 from repro.cfg.hashgen import build_fht
 from repro.cic.fht import FullHashTable
 from repro.cic.hashes import get_hash
@@ -35,10 +34,6 @@ def baseline_run(name: str, scale: str = "default") -> RunResult:
 @lru_cache(maxsize=None)
 def workload_fht(name: str, scale: str = "default", hash_name: str = "xor") -> FullHashTable:
     return build_fht(build(name, scale), get_hash(hash_name))
-
-
-def workload_program(name: str, scale: str = "default") -> Program:
-    return build(name, scale)
 
 
 @lru_cache(maxsize=None)

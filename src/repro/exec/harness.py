@@ -39,8 +39,9 @@ Guarantees (inherited by every client)
       ``shard-done`` marker is on disk; torn lines, orphaned records,
       and duplicate lines from interrupted runs are all resolved in the
       committed shard's favour on resume.
-    * **Identity** — resume refuses a file whose header fingerprint,
-      seed, total, chunk size, or schema version disagree with the job.
+    * **Identity** — resume refuses, without writing to it, a file
+      that does not begin with this job's header: fingerprint, seed,
+      total, chunk size, and schema version must all agree.
 
 Checkpoint-store sharing
     With ``workers > 1`` the parent offers the factory's
@@ -81,9 +82,9 @@ from repro.obs.metrics import (
     metrics_path,
     write_metrics,
 )
-from repro.exec.records import dump_line, load_lines, truncate_uncommitted
-from repro.exec.sharing import SharedPayload, publish, release
+from repro.exec.sharing import SharedPayload
 from repro.exec.spec import shard_seed
+from repro.utils.jsonl import AppendLog, read_complete
 
 #: Items per shard when a job does not choose: the unit of work
 #: distribution *and* of resume.
@@ -387,18 +388,11 @@ class HarnessRunner:
         workers: int = 1,
         workspace_supplier: Callable | None = None,
         share: bool = True,
-        persistent: bool = True,
     ):
         validate_plan(workers=workers, chunk_size=job.chunk_size)
         self.job = job
         self.workers = workers
         self.share = share
-        # Persistent runs draw workers from the process-wide warm pool
-        # registry (repro.exec.pool): the pool for this job's factory is
-        # built once and reused across shards, runs, and campaigns.
-        # persistent=False keeps the old build-and-tear-down pool per
-        # run (the invariance tests compare both paths).
-        self.persistent = persistent
         # An optional supplier lets the client hand over a parent-side
         # workspace it can build more cheaply than the factory (e.g.
         # around a prebuilt campaign context) — still lazily, so runs
@@ -417,24 +411,33 @@ class HarnessRunner:
 
     # ------------------------------------------------------------------
 
-    def _load_resume(self, out: str) -> tuple[set[int], list] | None:
-        """Committed shards and their records from a previous run's file.
+    def _load_resume(self, out: str) -> tuple[set[int], list, int] | None:
+        """Committed shards, their records, and the committed prefix's
+        length in bytes, from one read of a previous run's file.
 
-        Returns ``None`` for an empty file (a run that died before the
-        header flushed): the job simply starts fresh.  A shard only
-        counts as committed if its marker is present *and* exactly its
-        expected item indexes decode — a shard with corrupted or
-        orphaned record lines is re-run, and duplicate lines (from an
-        earlier run interrupted mid-shard and later re-run) collapse to
-        the last committed copy.
+        Returns ``None`` when the file holds no complete line — empty, or
+        one torn line (a run that died before its header landed): the
+        job starts fresh.  Any other file must begin with this job's
+        header, or this raises before anything is written.  The committed
+        prefix ends at the last ``header`` or ``shard-done`` line; what
+        follows (orphan records of a shard killed mid-commit, a torn
+        line) is cut before the run appends.  A shard only counts as
+        committed if its marker is in the prefix *and* exactly its
+        expected item indexes decode — a shard with corrupted or orphaned
+        record lines is re-run, and duplicate lines (from an earlier run
+        interrupted mid-shard and later re-run) collapse to the last
+        committed copy.
         """
         factory = self.job.factory
-        entries = load_lines(out)
-        if not entries:
+        lines, tail = read_complete(out)
+        torn = sum(entry is None for _, entry in lines) + bool(tail)
+        if torn:
+            obs.count("records.torn_lines", torn)
+        if not lines:
             return None
-        if entries[0].get("type") != "header":
+        header = lines[0][1]
+        if header is None or header.get("type") != "header":
             raise ConfigurationError(f"{out}: not a {factory.kind} file")
-        header = entries[0]
         expected = self.job.header()
         for key in RESUME_KEYS:
             if header.get(key) != expected[key]:
@@ -443,6 +446,14 @@ class HarnessRunner:
                     f"this {factory.kind} has {expected[key]!r}"
                 )
         factory.check_resume_header(header, out)
+        committed = max(
+            end for end, entry in lines
+            if entry and entry.get("type") in ("header", "shard-done")
+        )
+        dropped = lines[-1][0] + len(tail) - committed
+        if dropped:
+            obs.count("records.truncated_bytes", dropped)
+        entries = [entry for end, entry in lines if entry and end <= committed]
         marked = {
             entry["shard"]
             for entry in entries
@@ -465,7 +476,7 @@ class HarnessRunner:
             if set(found) == expected_indexes:
                 done.add(shard_id)
                 records.extend(found.values())
-        return done, records
+        return done, records, committed
 
     # ------------------------------------------------------------------
 
@@ -507,16 +518,16 @@ class HarnessRunner:
 
         done_shards: set[int] = set()
         records: list = []
+        committed = 0  # bytes of the results file this run keeps
         resuming = resume and out_path is not None and os.path.exists(out_path)
         with telem.span("run"):
             if resuming:
                 with telem.span("resume"):
-                    truncate_uncommitted(out_path)
                     loaded = self._load_resume(out_path)
                 if loaded is None:
-                    resuming = False  # empty file: died before the header
+                    resuming = False  # no complete line: start fresh
                 else:
-                    done_shards, records = loaded
+                    done_shards, records, committed = loaded
                     telem.count("harness.resume.shards", len(done_shards))
                     telem.count("harness.resume.records", len(records))
 
@@ -537,14 +548,11 @@ class HarnessRunner:
                         events_path(out_path), fresh=not resuming
                     )
 
-            handle = None
+            results = None
             if out_path is not None:
-                handle = open(
-                    out_path, "a" if resuming else "w", encoding="utf-8"
-                )
+                results = AppendLog(out_path, keep=committed)
                 if not resuming:
-                    handle.write(dump_line(job.header()))
-                    handle.flush()
+                    results.append(job.header())
 
             progress = {
                 "shards_done": len(done_shards),
@@ -584,19 +592,15 @@ class HarnessRunner:
                 if collect:
                     telem.merge(meta.get("telemetry"))
                     shard_stats.append(meta)
-                if handle is not None:
-                    for record in shard_records:
-                        handle.write(dump_line(job.factory.encode(record)))
-                    handle.write(
-                        dump_line(
-                            {
-                                "type": "shard-done",
-                                "shard": shard_id,
-                                "seed": shard_seed(job.seed, shard_id),
-                            }
-                        )
+                if results is not None:
+                    results.append(
+                        *map(job.factory.encode, shard_records),
+                        {
+                            "type": "shard-done",
+                            "shard": shard_id,
+                            "seed": shard_seed(job.seed, shard_id),
+                        },
                     )
-                    handle.flush()
                 if events is not None:
                     self._emit_commit(
                         events, progress, meta, shard_id,
@@ -628,8 +632,8 @@ class HarnessRunner:
                             ),
                         )
             finally:
-                if handle is not None:
-                    handle.close()
+                if results is not None:
+                    results.close()
                 if events is not None:
                     events.close()
 
@@ -728,7 +732,6 @@ class HarnessRunner:
             "fingerprint": job.payload.get("fingerprint"),
             "workers": self.workers,
             "share": self.share,
-            "persistent": self.persistent,
             "resumed": bool(resumed),
             "out": os.path.basename(out_path),
             **job.factory.describe(),
@@ -738,48 +741,19 @@ class HarnessRunner:
             build_payload(manifest, telem, shard_stats),
         )
 
-    def _shared_payload(self):
-        return self.job.factory.shared_payload(self.workspace)
-
     def _run_pool(self, pending: list[ShardTask], commit) -> None:
-        if self.persistent:
-            from repro.exec.pool import acquire
+        from repro.exec.pool import acquire
 
-            # Full worker count on purpose: a persistent pool outlives
-            # this run, so it is sized for the job family, not for the
-            # pending remainder of one resume.
-            pool = acquire(
-                self.job.factory,
-                self.workers,
-                self.share,
-                self._shared_payload if self.share else lambda: None,
-            )
-            for shard_id, shard_records, meta in pool.imap_shards(pending):
-                commit(shard_id, shard_records, meta)
-            return
-        import multiprocessing
-
-        method = (
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
+        # Workers come from the process-wide warm pool registry
+        # (repro.exec.pool): the pool for this job's factory is built
+        # once and reused across shards, runs, and campaigns, so it is
+        # sized for the job family — the full worker count — not for
+        # the pending remainder of one resume.
+        pool = acquire(
+            self.job.factory,
+            self.workers,
+            self.share,
+            lambda: self.job.factory.shared_payload(self.workspace),
         )
-        context = multiprocessing.get_context(method)
-        workers = min(self.workers, len(pending))
-        ticket = None
-        if self.share:
-            payload = self._shared_payload()
-            if payload is not None:
-                ticket = publish(payload)
-        try:
-            with context.Pool(
-                processes=workers,
-                initializer=_pool_init,
-                initargs=(self.job.factory, ticket),
-            ) as pool:
-                for shard_id, shard_records, meta in pool.imap_unordered(
-                    _pool_shard, pending
-                ):
-                    commit(shard_id, shard_records, meta)
-        finally:
-            release(ticket)
+        for shard_id, shard_records, meta in pool.imap_shards(pending):
+            commit(shard_id, shard_records, meta)

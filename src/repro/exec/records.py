@@ -1,8 +1,9 @@
 """Campaign result records and their JSONL wire format.
 
 A campaign results file is JSON Lines: one JSON object per line, written
-append-only so an interrupted campaign loses at most the shard in flight.
-Three line types exist, discriminated by ``"type"``:
+append-only (:mod:`repro.utils.jsonl`, whose :func:`dump_line` this
+module re-exports) so an interrupted campaign loses at most the shard in
+flight.  Three line types exist, discriminated by ``"type"``:
 
 ``header`` (first line of the file)
     ``{"type": "header", "version": 1, "spec": {...}, "fingerprint": str,
@@ -38,14 +39,13 @@ and multi-part tuples::
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from repro.obs import core as obs
 from repro.attacks.scenario import AttackScenario
 from repro.errors import ConfigurationError
 from repro.faults.campaign import FaultResult, Outcome
 from repro.faults.models import BitFlipFault, TransientFetchFault
+from repro.utils.jsonl import dump_line  # noqa: F401 - re-exported
 
 
 def fault_to_json(fault) -> dict:
@@ -134,65 +134,3 @@ class FaultRecord:
             detail=data.get("detail", ""),
             latency=data.get("latency"),
         )
-
-
-def dump_line(data: dict) -> str:
-    """One canonical JSONL line (sorted keys, no trailing spaces)."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def truncate_uncommitted(path) -> int:
-    """Trim a results file back to its last committed line; return bytes cut.
-
-    The harness appends on resume, so anything after the final ``header``
-    or ``shard-done`` line — orphan records from a shard killed mid-write,
-    or a torn half-line — would otherwise survive into the resumed file
-    and break byte-identity with an uninterrupted run.  Single-writer
-    appends mean such debris can only live in the tail, so truncating to
-    the last commit marker is always safe.  A file with no recognizable
-    committed prefix is left untouched for resume validation to reject.
-    """
-    with open(path, "rb") as handle:
-        content = handle.read()
-    keep = 0
-    offset = 0
-    for raw in content.splitlines(keepends=True):
-        offset += len(raw)
-        if not raw.endswith(b"\n"):
-            break
-        try:
-            entry = json.loads(raw)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(entry, dict) and entry.get("type") in (
-            "header",
-            "shard-done",
-        ):
-            keep = offset
-    dropped = len(content) - keep
-    if keep and dropped:
-        with open(path, "r+b") as handle:
-            handle.truncate(keep)
-        obs.count("records.truncated_bytes", dropped)
-        return dropped
-    return 0
-
-
-def load_lines(path) -> list[dict]:
-    """Parse every line of a JSONL file, skipping blank/truncated tails.
-
-    A campaign killed mid-write may leave a torn final line; it belongs to
-    an uncommitted shard by construction, so dropping it is safe.
-    """
-    entries: list[dict] = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entries.append(json.loads(line))
-            except json.JSONDecodeError:
-                obs.count("records.torn_lines")
-                continue
-    return entries

@@ -203,19 +203,15 @@ class CampaignRunner:
         campaign: FaultCampaign | None = None,
         share: bool = True,
         batch_size: int | None = None,
-        persistent: bool = True,
         workspace: Workspace | None = None,
     ):
         self.spec = spec
         self.workers = workers
         self.chunk_size = chunk_size
         self.share = share
-        # Execution knobs only — never recorded in artifacts: batch_size
-        # sizes the batched-kernel calls (None = whole shard at once),
-        # persistent reuses warm worker pools across runs and campaigns
-        # (:mod:`repro.exec.pool`).
+        # Execution knob only — never recorded in artifacts: batch_size
+        # sizes the batched-kernel calls (None = whole shard at once).
         self.batch_size = batch_size
-        self.persistent = persistent
         # An optional pre-built parent-side campaign skips re-running the
         # golden simulation when the caller already has an equivalent
         # context (e.g. a hash/policy sweep over one program); an optional
@@ -293,7 +289,6 @@ class CampaignRunner:
             workers=self.workers,
             workspace_supplier=lambda: self.workspace,
             share=self.share,
-            persistent=self.persistent,
         )
         result: HarnessResult = harness.run(
             out=out, resume=resume, stop_after_shards=stop_after_shards

@@ -126,13 +126,6 @@ class CampaignReport:
             return 0.0
         return self.detected / self.total
 
-    @property
-    def sdc_rate(self) -> float:
-        if not self.results:
-            return 0.0
-        silent = sum(1 for result in self.results if result.outcome is Outcome.SDC)
-        return silent / self.total
-
     def detection_latencies(self) -> list[int]:
         """Latencies (in instructions) of every detected injection."""
         return [

@@ -52,11 +52,6 @@ def is_jump(instruction: Instruction) -> bool:
     return instruction.mnemonic in DIRECT_JUMPS or instruction.mnemonic in INDIRECT_JUMPS
 
 
-def is_trap(instruction: Instruction) -> bool:
-    """True for syscall/break."""
-    return instruction.mnemonic in TRAPS
-
-
 def is_control_flow(instruction: Instruction) -> bool:
     """True for every basic-block-terminating instruction."""
     return instruction.mnemonic in CONTROL_FLOW

@@ -39,114 +39,3 @@ Modules
     The opt-in fetch/decode/execute/monitor phase profiler for
     ``FuncSim``/``PipelineCPU``.
 """
-
-from repro.obs.core import (
-    ENV_SWITCH,
-    Telemetry,
-    count,
-    enabled,
-    gauge,
-    local,
-    observe,
-    scoped,
-    set_enabled,
-    span,
-)
-from repro.obs.diff import (
-    DiffReport,
-    DiffRow,
-    diff_artifacts,
-    load_artifact,
-    render_diff,
-)
-from repro.obs.events import (
-    EVENT_TYPES,
-    EVENTS_SUFFIX,
-    EventWriter,
-    events_path,
-    follow_events,
-    read_events,
-    resolve_events_path,
-)
-from repro.obs.log import LEVELS, StructuredLog, log, set_level
-from repro.obs.metrics import (
-    METRICS_VERSION,
-    environment,
-    load_metrics,
-    metrics_path,
-    span_coverage,
-    write_metrics,
-)
-from repro.obs.profiler import PhaseProfiler
-from repro.obs.schema import (
-    BENCH_SCHEMA,
-    EVENTS_SCHEMA,
-    METRICS_SCHEMA,
-    TRACE_SCHEMA,
-    validate,
-    validate_bench,
-    validate_events,
-    validate_metrics,
-    validate_trace,
-)
-from repro.obs.stats import (
-    FollowView,
-    find_metrics,
-    follow_path,
-    render_metrics,
-    render_path,
-)
-from repro.obs.trace import build_trace, collect_sources, export_trace
-
-__all__ = [
-    "ENV_SWITCH",
-    "Telemetry",
-    "count",
-    "gauge",
-    "observe",
-    "span",
-    "local",
-    "enabled",
-    "set_enabled",
-    "scoped",
-    "LEVELS",
-    "StructuredLog",
-    "log",
-    "set_level",
-    "METRICS_VERSION",
-    "environment",
-    "metrics_path",
-    "write_metrics",
-    "load_metrics",
-    "span_coverage",
-    "PhaseProfiler",
-    "METRICS_SCHEMA",
-    "BENCH_SCHEMA",
-    "EVENTS_SCHEMA",
-    "TRACE_SCHEMA",
-    "validate",
-    "validate_metrics",
-    "validate_bench",
-    "validate_events",
-    "validate_trace",
-    "find_metrics",
-    "render_metrics",
-    "render_path",
-    "FollowView",
-    "follow_path",
-    "EVENT_TYPES",
-    "EVENTS_SUFFIX",
-    "EventWriter",
-    "events_path",
-    "resolve_events_path",
-    "read_events",
-    "follow_events",
-    "build_trace",
-    "collect_sources",
-    "export_trace",
-    "DiffReport",
-    "DiffRow",
-    "diff_artifacts",
-    "load_artifact",
-    "render_diff",
-]

@@ -31,13 +31,13 @@ cross), so the event log is exactly as trustworthy as the results file:
     the run is complete (``stop_after_shards`` sessions finish
     incomplete), session wall seconds and throughput.
 
-Crash tolerance is structural: every event is one ``write()`` of one
-``\\n``-terminated line followed by a flush, so a killed run leaves a
-valid prefix plus at most one torn final line.  Readers
-(:func:`read_events`, :func:`follow_events`) skip unparsable lines, and a
-resuming :class:`EventWriter` appends *after* a torn tail instead of
-corrupting it further — the reader-side and writer-side halves of the
-same guarantee the results JSONL already makes.
+Crash tolerance is structural: the log is a :mod:`repro.utils.jsonl`
+log, every event one ``write()`` of one ``\\n``-terminated line followed
+by a flush, so a killed run leaves a valid prefix plus at most one torn
+final line.  Readers (:func:`read_events`, :func:`follow_events`) skip
+unparsable lines, and a resuming :class:`EventWriter` appends *after* a
+torn tail instead of corrupting it further — the reader-side and
+writer-side halves of the same guarantee the results JSONL makes.
 
 Timestamps are monotonic by construction: ``t`` is wall-clock
 (``time.time()``) clamped to never decrease within or across sessions
@@ -47,9 +47,10 @@ Timestamps are monotonic by construction: ``t`` is wall-clock
 
 from __future__ import annotations
 
-import json
 import os
 import time
+
+from repro.utils.jsonl import AppendLog, read_complete, read_lines
 
 #: Suffix replacing the results file's extension (``x.jsonl`` →
 #: ``x.events.jsonl``), mirroring ``repro.obs.metrics.METRICS_SUFFIX``.
@@ -100,45 +101,10 @@ def resolve_metrics_path(path: str | os.PathLike) -> str:
     return resolve_events_path(target)[: -len(EVENTS_SUFFIX)] + _METRICS_SUFFIX
 
 
-def dump_line(data: dict) -> str:
-    """One canonical JSONL line (same shape as the results wire format;
-    the service journal writes its entries the same way)."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _parse_line(line: bytes | str) -> dict | None:
-    """One event from one line, or ``None`` for blank/torn/foreign lines."""
-    if isinstance(line, bytes):
-        try:
-            line = line.decode("utf-8")
-        except UnicodeDecodeError:
-            return None
-    line = line.strip()
-    if not line:
-        return None
-    try:
-        data = json.loads(line)
-    except json.JSONDecodeError:
-        return None
-    if not isinstance(data, dict) or "type" not in data:
-        return None
-    return data
-
-
 def read_events(path: str | os.PathLike) -> list[dict]:
-    """Every parseable event in *path*, torn/foreign lines skipped.
-
-    A file whose final line was torn by a kill mid-append parses to its
-    valid prefix — the reader half of the crash-tolerance contract, which
-    the service journal shares.
-    """
-    events: list[dict] = []
-    with open(os.fspath(path), "rb") as handle:
-        for line in handle:
-            event = _parse_line(line)
-            if event is not None:
-                events.append(event)
-    return events
+    """Every event in *path*; torn and foreign lines are skipped, so a log
+    torn by a kill mid-append reads as its valid prefix."""
+    return [entry for entry in read_lines(path) if "type" in entry]
 
 
 class EventWriter:
@@ -157,33 +123,16 @@ class EventWriter:
         self.path = os.fspath(path)
         self._seq = 0
         self._last_t = 0.0
-        torn = False
         if not fresh and os.path.exists(self.path):
-            torn = self._restore()
-        self._handle = open(self.path, "w" if fresh else "a", encoding="utf-8")
-        if torn:
-            # Terminate the torn tail so this session's first event
-            # starts a fresh line; the remnant stays on disk, skipped by
-            # every reader.
-            self._handle.write("\n")
-            self._handle.flush()
+            for event in read_events(self.path):
+                seq, t = event.get("seq"), event.get("t")
+                if isinstance(seq, int) and seq >= self._seq:
+                    self._seq = seq + 1
+                if isinstance(t, (int, float)) and not isinstance(t, bool):
+                    self._last_t = max(self._last_t, float(t))
+        self._log = AppendLog(self.path, keep=0 if fresh else None)
+        if self._log.torn:
             self.emit("torn-marker", note="torn trailing line terminated on reopen")
-
-    def _restore(self) -> bool:
-        """Recover seq/t high-water marks; report whether the tail is torn."""
-        with open(self.path, "rb") as handle:
-            content = handle.read()
-        for line in content.splitlines():
-            event = _parse_line(line)
-            if event is None:
-                continue
-            seq = event.get("seq")
-            if isinstance(seq, int) and seq >= self._seq:
-                self._seq = seq + 1
-            t = event.get("t")
-            if isinstance(t, (int, float)) and not isinstance(t, bool):
-                self._last_t = max(self._last_t, float(t))
-        return bool(content) and not content.endswith(b"\n")
 
     def emit(self, kind: str, /, **fields) -> dict:
         """Append one event; return it (with ``seq`` and ``t`` stamped).
@@ -197,13 +146,11 @@ class EventWriter:
         self._last_t = now
         event = {"type": kind, "seq": self._seq, "t": now, **fields}
         self._seq += 1
-        self._handle.write(dump_line(event))
-        self._handle.flush()
+        self._log.append(event)
         return event
 
     def close(self) -> None:
-        if not self._handle.closed:
-            self._handle.close()
+        self._log.close()
 
     def __enter__(self) -> "EventWriter":
         return self
@@ -222,7 +169,7 @@ def follow_events(
     Yields every already-written event first (the backlog), then polls
     for appended lines every *poll* seconds.  Only complete
     (``\\n``-terminated) lines are consumed — a torn tail, whether
-    mid-write or left by a kill, stays buffered until its newline lands,
+    mid-write or left by a kill, is read again until its newline lands,
     so following never crashes on truncation.  The generator returns once
     the log has been drained *and* its newest event is ``run-finished``
     (an older session's ``run-finished`` mid-log, followed by a resume,
@@ -233,30 +180,20 @@ def follow_events(
     target = os.fspath(path)
     deadline = None if timeout is None else time.monotonic() + timeout
     offset = 0
-    buffer = b""
     last_type: str | None = None
     while True:
-        grew = False
+        lines, tail = [], b""
         if os.path.exists(target):
-            with open(target, "rb") as handle:
-                handle.seek(offset)
-                chunk = handle.read()
-            if chunk:
-                grew = True
-                offset += len(chunk)
-                buffer += chunk
-                while b"\n" in buffer:
-                    line, buffer = buffer.split(b"\n", 1)
-                    event = _parse_line(line)
-                    if event is None:
-                        continue
-                    last_type = event["type"]
-                    yield event
-        if last_type == "run-finished" and not buffer:
+            lines, tail = read_complete(target, offset)
+        for offset, event in lines:  # each line moves the offset past it
+            if event is not None and "type" in event:
+                last_type = event["type"]
+                yield event
+        if last_type == "run-finished" and not tail:
             return
         if deadline is not None and time.monotonic() >= deadline:
             raise TimeoutError(
                 f"{target}: no run-finished event within {timeout:g}s"
             )
-        if not grew:
+        if not lines:
             time.sleep(poll)

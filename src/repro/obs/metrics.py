@@ -9,7 +9,7 @@ with telemetry on, off, or at any verbosity:
 ``manifest``
     Where and how the run executed: host, Python, effective cores, the
     harness plan (workers / chunk size / seed / total / share /
-    persistent / resumed), the client kind, the job fingerprint, and
+    resumed), the client kind, the job fingerprint, and
     whatever the workspace factory adds through
     :meth:`~repro.exec.harness.WorkspaceFactory.describe` (backend,
     batch plan, workload...).

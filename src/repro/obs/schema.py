@@ -146,7 +146,6 @@ METRICS_SCHEMA = {
                 "backend": {"type": ["string", "null"]},
                 "batch_size": {"type": ["integer", "null"]},
                 "share": {"type": "boolean"},
-                "persistent": {"type": "boolean"},
                 "resumed": {"type": "boolean"},
                 "created": {"type": "string"},
                 "out": {"type": "string"},

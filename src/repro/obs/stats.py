@@ -92,7 +92,7 @@ def render_metrics(payload: dict, path: str | None = None) -> str:
     plan = (
         f"workers={manifest.get('workers')} "
         f"chunk_size={manifest.get('chunk_size')} "
-        f"share={manifest.get('share')} persistent={manifest.get('persistent')}"
+        f"share={manifest.get('share')}"
     )
     lines.append(
         f"{manifest.get('kind', 'run')}: {manifest.get('total')} items, "

@@ -47,14 +47,3 @@ class CycleModel:
     alu_ready_offset: int = 2
     #: Cycle offset at which a load result can feed EX or ID of a consumer.
     load_ready_offset: int = 3
-
-    @property
-    def fill_cycles(self) -> int:
-        """Cycles to fill/drain the pipeline around the ID-issue timeline.
-
-        With the ID-centric timeline used by both simulators, the first
-        instruction's ID happens at cycle 2 (after one IF cycle) and the last
-        instruction needs EX/MEM/WB after its ID cycle: ``depth - 2``
-        trailing cycles plus 1 leading cycle.
-        """
-        return self.depth - 1

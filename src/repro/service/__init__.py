@@ -40,48 +40,3 @@ pinned by ``tests/service/`` and ``make service-smoke``.  See
 ``docs/SERVICE.md`` for the protocol, job lifecycle, cache keying, and
 restart semantics.
 """
-
-from repro.service.cache import CacheEntry, CheckpointCache
-from repro.service.client import ServiceClient
-from repro.service.jobs import (
-    JOB_KINDS,
-    JOB_STATES,
-    TERMINAL_STATES,
-    Journal,
-    ServiceJob,
-    replay_journal,
-    validate_job,
-)
-from repro.service.protocol import (
-    DEFAULT_SOCKET_NAME,
-    DEFAULT_STATE_DIR,
-    decode_line,
-    encode_line,
-    error_response,
-    ok_response,
-)
-from repro.service.scheduler import FairQueue
-from repro.service.server import ReproService, ServiceConfig, run_server
-
-__all__ = [
-    "CacheEntry",
-    "CheckpointCache",
-    "ServiceClient",
-    "JOB_KINDS",
-    "JOB_STATES",
-    "TERMINAL_STATES",
-    "Journal",
-    "ServiceJob",
-    "replay_journal",
-    "validate_job",
-    "DEFAULT_SOCKET_NAME",
-    "DEFAULT_STATE_DIR",
-    "decode_line",
-    "encode_line",
-    "error_response",
-    "ok_response",
-    "FairQueue",
-    "ReproService",
-    "ServiceConfig",
-    "run_server",
-]

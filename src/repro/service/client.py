@@ -27,9 +27,8 @@ from repro.service.protocol import (
     DEFAULT_SOCKET_NAME,
     DEFAULT_STATE_DIR,
     MAX_LINE_BYTES,
-    decode_line,
-    encode_line,
 )
+from repro.utils.jsonl import dump_line, parse_line
 
 
 class ServiceError(ReproError):
@@ -87,7 +86,7 @@ class ServiceClient:
         line = handle.readline(MAX_LINE_BYTES + 1)
         if not line:
             raise ServiceError("connection closed by server")
-        data = decode_line(line)
+        data = parse_line(line)
         if data is None:
             raise ServiceError(f"malformed server reply: {line[:80]!r}")
         return data
@@ -95,7 +94,7 @@ class ServiceClient:
     def request(self, op: str, **fields) -> dict:
         """One op, one reply; raises :class:`ServiceError` on ``ok: false``."""
         with self._connect() as sock:
-            sock.sendall(encode_line({"op": op, **fields}))
+            sock.sendall(dump_line({"op": op, **fields}).encode())
             with sock.makefile("rb") as handle:
                 response = self._read_line(handle)
         if not response.get("ok"):
@@ -140,7 +139,7 @@ class ServiceClient:
         {...final status...}}``.
         """
         with self._connect() as sock:
-            sock.sendall(encode_line({"op": "watch", "id": job_id}))
+            sock.sendall(dump_line({"op": "watch", "id": job_id}).encode())
             with sock.makefile("rb") as handle:
                 header = self._read_line(handle)
                 if not header.get("ok"):

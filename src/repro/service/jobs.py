@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 from repro.jobs import KINDS
-from repro.obs.events import dump_line, read_events
+from repro.obs.events import read_events
+from repro.utils.jsonl import AppendLog
 
 #: The four experiment kinds the service accepts (:mod:`repro.jobs`).
 JOB_KINDS = tuple(KINDS)
@@ -38,9 +39,6 @@ JOB_KINDS = tuple(KINDS)
 #: Lifecycle states; the last three are terminal.
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
-
-#: Journal entry vocabulary (pinned by ``repro.obs.schema.JOURNAL_SCHEMA``).
-JOURNAL_ENTRY_TYPES = ("service-started", "job-submitted", "job-state")
 
 #: Hard ceilings on per-job execution knobs, so one tenant cannot
 #: request a pool bigger than the host.
@@ -147,37 +145,25 @@ read_journal = read_events
 class Journal:
     """Append-only job journal: one flushed JSON line per entry.
 
-    The same crash-tolerance contract as :class:`repro.obs.events.
-    EventWriter`: a ``kill -9`` mid-append leaves a valid prefix plus at
-    most one torn line, which :func:`read_journal` skips.  The journal
-    is the server's *only* durable job state — results files are the
-    harness's, and the two reconcile through the resume protocol.
+    An :class:`~repro.utils.jsonl.AppendLog`, like the event log: a
+    ``kill -9`` mid-append leaves a valid prefix plus at most one torn
+    line, which :func:`read_journal` skips and the next server's journal
+    terminates before appending.  The journal is the server's *only*
+    durable job state — results files are the harness's, and the two
+    reconcile through the resume protocol.
     """
 
     def __init__(self, path: str | os.PathLike):
         self.path = os.fspath(path)
-        exists = os.path.exists(self.path)
-        # Terminate a torn tail before appending (same discipline as the
-        # event writer): our first entry must start a fresh line.
-        torn = False
-        if exists:
-            with open(self.path, "rb") as handle:
-                content = handle.read()
-            torn = bool(content) and not content.endswith(b"\n")
-        self._handle = open(self.path, "a", encoding="utf-8")
-        if torn:
-            self._handle.write("\n")
-            self._handle.flush()
+        self._log = AppendLog(self.path)
 
     def append(self, entry_type: str, **fields) -> dict:
         entry = {"type": entry_type, "t": round(time.time(), 6), **fields}
-        self._handle.write(dump_line(entry))
-        self._handle.flush()
+        self._log.append(entry)
         return entry
 
     def close(self) -> None:
-        if not self._handle.closed:
-            self._handle.close()
+        self._log.close()
 
 
 def replay_journal(path: str | os.PathLike) -> tuple[dict[str, ServiceJob], int]:

@@ -1,13 +1,15 @@
 """The service wire format: line-delimited JSON over a stream socket.
 
-Requests and responses are single ``\\n``-terminated JSON objects — the
-same framing discipline as the results JSONL and the event logs, chosen
-for the same reason: a torn line (client killed mid-send, server killed
-mid-reply) damages at most itself, and every surviving line parses.  A
-connection is a sequence of request/response exchanges; the ``watch``
-operation is the one exception, answering with a *stream* of lines that
-ends with a ``{"stream": "end", ...}`` sentinel, after which the
-connection is again request-ready.
+Requests and responses are single ``\\n``-terminated JSON objects,
+framed by :func:`repro.utils.jsonl.dump_line` and parsed by
+:func:`repro.utils.jsonl.parse_line` — the framing of the results JSONL
+and the event logs, chosen for the same reason: a torn line (client
+killed mid-send, server killed mid-reply) damages at most itself, and
+every surviving line parses.  A connection is a sequence of
+request/response exchanges; the ``watch`` operation is the one
+exception, answering with a *stream* of lines that ends with a
+``{"stream": "end", ...}`` sentinel, after which the connection is again
+request-ready.
 
 Operations (the ``op`` field of a request)
     ``ping``
@@ -45,8 +47,6 @@ response rather than dropping the connection.
 
 from __future__ import annotations
 
-import json
-
 #: Default service state directory (relative to the working directory):
 #: job journal, unix socket, and per-job results files live here.  Kept
 #: out of ``results/`` so committed artifacts and run-local service
@@ -63,32 +63,6 @@ PROTOCOL_VERSION = 1
 #: Upper bound on one request line; a client sending more is answered
 #: with an error and disconnected (malice or corruption, not workload).
 MAX_LINE_BYTES = 1 << 20
-
-
-def encode_line(payload: dict) -> bytes:
-    """One canonical protocol line: compact JSON plus the terminator."""
-    return (
-        json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    ).encode("utf-8")
-
-
-def decode_line(line: bytes | str) -> dict | None:
-    """Parse one protocol line; ``None`` for blank/torn/foreign input."""
-    if isinstance(line, bytes):
-        try:
-            line = line.decode("utf-8")
-        except UnicodeDecodeError:
-            return None
-    line = line.strip()
-    if not line:
-        return None
-    try:
-        data = json.loads(line)
-    except json.JSONDecodeError:
-        return None
-    if not isinstance(data, dict):
-        return None
-    return data
 
 
 def ok_response(**fields) -> dict:

@@ -61,12 +61,11 @@ from repro.service.protocol import (
     DEFAULT_STATE_DIR,
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
-    decode_line,
-    encode_line,
     error_response,
     ok_response,
 )
 from repro.service.scheduler import DEFAULT_PER_CLIENT, FairQueue
+from repro.utils.jsonl import dump_line, parse_line, read_complete
 
 #: Shards executed per job step: the granularity of cancellation,
 #: drain, and fair interleaving.  Small enough that control actions
@@ -347,14 +346,18 @@ class ReproService:
                 try:
                     line = await reader.readline()
                 except (asyncio.LimitOverrunError, ValueError):
-                    writer.write(encode_line(error_response("request too long")))
+                    writer.write(
+                        dump_line(error_response("request too long")).encode()
+                    )
                     await writer.drain()
                     break
                 if not line:
                     break
-                request = decode_line(line)
+                request = parse_line(line)
                 if request is None:
-                    writer.write(encode_line(error_response("malformed request")))
+                    writer.write(
+                        dump_line(error_response("malformed request")).encode()
+                    )
                     await writer.drain()
                     continue
                 if not await self._dispatch(request, writer):
@@ -404,15 +407,14 @@ class ReproService:
             response = self._op_stats()
         elif op == "shutdown":
             response = ok_response(stopping=True)
-            writer.write(encode_line(response))
-            await writer.drain()
-            self.request_shutdown()
-            return False
         else:
             response = error_response(f"unknown op {op!r}")
-        writer.write(encode_line(response))
+        writer.write(dump_line(response).encode())
         await writer.drain()
-        return True
+        if op != "shutdown":
+            return True
+        self.request_shutdown()
+        return False
 
     def _op_submit(self, request: dict) -> dict:
         if self._draining:
@@ -494,34 +496,16 @@ class ReproService:
 
     # -- watch ----------------------------------------------------------
 
-    @staticmethod
-    def _read_complete_lines(path: str, offset: int) -> tuple[list[dict], int]:
-        """New complete lines of *path* past *offset* (torn tail stays)."""
-        if not os.path.exists(path):
-            return [], offset
-        with open(path, "rb") as handle:
-            handle.seek(offset)
-            chunk = handle.read()
-        end = chunk.rfind(b"\n")
-        if end < 0:
-            return [], offset
-        lines = []
-        for raw in chunk[: end + 1].splitlines():
-            parsed = decode_line(raw)
-            if parsed is not None:
-                lines.append(parsed)
-        return lines, offset + end + 1
-
     async def _op_watch(self, request: dict, writer) -> bool:
         job = self._jobs.get(request.get("id"))
-        if job is None:
-            writer.write(
-                encode_line(error_response(f"unknown job {request.get('id')!r}"))
-            )
-            await writer.drain()
-            return True
-        writer.write(encode_line(ok_response(job=job.status())))
+        writer.write(dump_line(
+            error_response(f"unknown job {request.get('id')!r}")
+            if job is None
+            else ok_response(job=job.status())
+        ).encode())
         await writer.drain()
+        if job is None:
+            return True
         streams = []
         if KINDS[job.kind].streams:
             streams = [
@@ -533,12 +517,15 @@ class ReproService:
             progressed = False
             for stream in streams:
                 name, path, offset = stream
-                lines, stream[2] = self._read_complete_lines(path, offset)
-                for data in lines:
-                    progressed = True
-                    writer.write(
-                        encode_line({"stream": name, "job": job.id, "data": data})
-                    )
+                if not os.path.exists(path):
+                    continue
+                for offset, data in read_complete(path, offset)[0]:
+                    if data is not None:
+                        progressed = True
+                        writer.write(dump_line(
+                            {"stream": name, "job": job.id, "data": data}
+                        ).encode())
+                stream[2] = offset
             if progressed:
                 await writer.drain()
             if terminal and not progressed:
@@ -546,7 +533,9 @@ class ReproService:
             if self._draining and not progressed:
                 break  # the follower can reconnect to the next server
             await asyncio.sleep(self.config.poll)
-        writer.write(encode_line({"stream": "end", "job": job.status()}))
+        writer.write(
+            dump_line({"stream": "end", "job": job.status()}).encode()
+        )
         await writer.drain()
         return True
 

@@ -8,11 +8,11 @@ from repro.exec.records import (
     dump_line,
     fault_from_json,
     fault_to_json,
-    load_lines,
 )
 from repro.exec.spec import CampaignSpec, shard_seed
 from repro.faults.campaign import FaultResult, Outcome
 from repro.faults.models import BitFlipFault, TransientFetchFault
+from repro.utils import jsonl
 
 
 class TestFaultSerialization:
@@ -54,10 +54,9 @@ class TestFaultRecord:
 
 
 class TestJsonlFile:
-    def test_truncated_tail_skipped(self, tmp_path):
-        path = tmp_path / "r.jsonl"
-        path.write_text(dump_line({"type": "header"}) + '{"type": "rec')
-        assert load_lines(path) == [{"type": "header"}]
+    def test_encoder_is_the_shared_one(self):
+        """Results lines are framed by the one JSON Lines module."""
+        assert dump_line is jsonl.dump_line
 
 
 class TestCampaignSpec:

@@ -210,6 +210,52 @@ class TestResume:
             CampaignRunner(spec).run(faults, seed=SEED, resume=True)
 
 
+class TestResumeRefusal:
+    """Only an empty file, or one torn line and nothing else, starts
+    fresh; any other file must begin with this campaign's header, and a
+    file resume refuses is left byte-identical."""
+
+    def refuse(self, spec, faults, out, message):
+        before = out.read_bytes()
+        with pytest.raises(ConfigurationError, match=message):
+            CampaignRunner(spec, chunk_size=CHUNK).run(
+                faults, seed=SEED, out=out, resume=True
+            )
+        assert out.read_bytes() == before
+
+    def test_refused_file_keeps_its_uncommitted_tail(self, spec, faults, tmp_path):
+        """Another run's file with an orphan record after its last
+        commit marker: refused on identity, orphan line still there."""
+        out = tmp_path / "other.jsonl"
+        CampaignRunner(spec, chunk_size=CHUNK).run(
+            faults, seed=SEED + 1, out=out, stop_after_shards=1
+        )
+        lines = out.read_text().splitlines(keepends=True)
+        out.write_text("".join(lines) + lines[1])
+        self.refuse(spec, faults, out, "cannot resume — seed")
+
+    def test_json_non_object_refused(self, spec, faults, tmp_path):
+        out = tmp_path / "list.jsonl"
+        out.write_text("[1, 2]\n")
+        self.refuse(spec, faults, out, "not a campaign results file")
+
+    def test_plain_text_refused(self, spec, faults, tmp_path):
+        out = tmp_path / "notes.txt"
+        out.write_text("first line\nsecond line\n")
+        self.refuse(spec, faults, out, "not a campaign results file")
+
+    def test_lone_torn_header_starts_fresh(self, spec, faults, tmp_path):
+        reference = tmp_path / "reference.jsonl"
+        CampaignRunner(spec, chunk_size=CHUNK).run(faults, seed=SEED, out=reference)
+        out = tmp_path / "torn.jsonl"
+        out.write_text('{"type":"hea')
+        result = CampaignRunner(spec, chunk_size=CHUNK).run(
+            faults, seed=SEED, out=out, resume=True
+        )
+        assert result.complete
+        assert out.read_bytes() == reference.read_bytes()
+
+
 class TestValidation:
     def test_bad_worker_and_chunk_counts(self, spec):
         with pytest.raises(ConfigurationError):

@@ -125,17 +125,6 @@ class TestPoolReuse:
         assert 2 in pool_stats().values()
         assert jsonl_records(first) == jsonl_records(second) == reference
 
-    def test_transient_pools_still_supported(self, rig, tmp_path):
-        """``persistent=False`` keeps the old build-per-run pool path —
-        and its records match the warm-pool ones exactly."""
-        spec, faults, reference = rig
-        out = tmp_path / "transient.jsonl"
-        result = CampaignRunner(
-            spec, workers=2, chunk_size=CHUNK, persistent=False
-        ).run(faults, seed=SEED, out=out)
-        assert result.complete
-        assert jsonl_records(out) == reference
-
 
 class TestKillResumeMidBatch:
     def test_resume_under_a_different_batch_plan(self, rig, tmp_path):

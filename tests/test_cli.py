@@ -133,6 +133,47 @@ class TestCampaign:
         assert not out.exists()
 
 
+class TestResumeRefusal:
+    """``campaign --resume`` on a file it cannot trust exits 1 with one
+    message and leaves the file byte-identical."""
+
+    ARGV = ["campaign", "sha", "--scale", "tiny", "--backend", "golden",
+            "--faults", "8", "--resume", "--out"]
+
+    def refuse(self, out, capsys, message):
+        before = out.read_bytes()
+        capsys.readouterr()
+        assert main(self.ARGV + [str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert out.read_bytes() == before
+
+    def test_dse_sweep_file_with_an_orphan_point(self, tmp_path, capsys):
+        out = tmp_path / "sweep.jsonl"
+        assert main(["dse", "sweep", "--preset", "smoke", "--seed", "3",
+                     "--out", str(out), "--stop-after-shards", "1"]) == 0
+        lines = out.read_text().splitlines(keepends=True)
+        assert json.loads(lines[1])["type"] == "point"
+        out.write_text("".join(lines) + lines[1])
+        self.refuse(out, capsys, "cannot resume — fingerprint")
+
+    def test_json_non_object(self, tmp_path, capsys):
+        out = tmp_path / "list.jsonl"
+        out.write_text("[1, 2]\n")
+        self.refuse(out, capsys, "not a campaign results file")
+
+    def test_plain_text(self, tmp_path, capsys):
+        out = tmp_path / "notes.txt"
+        out.write_text("first line\nsecond line\n")
+        self.refuse(out, capsys, "not a campaign results file")
+
+    def test_lone_torn_header_starts_fresh(self, tmp_path, capsys):
+        out = tmp_path / "torn.jsonl"
+        out.write_text('{"type":"hea')
+        assert main(self.ARGV + [str(out)]) == 0
+        assert json.loads(out.read_text().splitlines()[0])["type"] == "header"
+
+
 class TestVersion:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -141,20 +182,14 @@ class TestVersion:
         assert f"repro {__version__}" in capsys.readouterr().out
 
 
-def _loaded_packages(body: str) -> set[str]:
-    """The ``repro`` subpackages a fresh interpreter has loaded after
-    ``import repro.cli`` and *body*."""
+def _loaded_modules(body: str) -> set[str]:
+    """Every module a fresh interpreter has loaded after running *body*."""
     import os
     import subprocess
     import sys
 
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    probe = (
-        "import contextlib, io, json, sys, repro.cli\n"
-        f"{body}\n"
-        "print(json.dumps(sorted({name.split('.')[1] for name in sys.modules\n"
-        "                         if name.startswith('repro.')})))"
-    )
+    probe = f"import json, sys\n{body}\nprint(json.dumps(sorted(sys.modules)))"
     done = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": src},
@@ -164,6 +199,13 @@ def _loaded_packages(body: str) -> set[str]:
         check=True,
     )
     return set(json.loads(done.stdout.strip().splitlines()[-1]))
+
+
+def _loaded_packages(body: str) -> set[str]:
+    """The ``repro`` subpackages a fresh interpreter has loaded after
+    ``import repro.cli`` and *body*."""
+    loaded = _loaded_modules(f"import contextlib, io, repro.cli\n{body}")
+    return {name.split(".")[1] for name in loaded if name.startswith("repro.")}
 
 
 def _quiet_main(argv: list[str]) -> str:
@@ -198,6 +240,25 @@ class TestImportFootprint:
             check=True,
         )
         assert done.stdout.strip() == "[]"
+
+    def test_cli_import_loads_only_the_obs_core_and_logger(self):
+        """The ``repro.obs`` root imports nothing: the CLI takes its
+        renderers from their submodules when a command needs them."""
+        loaded = _loaded_modules("import repro.cli")
+        assert {name for name in loaded if name.startswith("repro.obs")} == {
+            "repro.obs", "repro.obs.core", "repro.obs.log",
+        }
+
+    def test_service_client_loads_no_server_side(self):
+        """``repro submit`` and scripts talk to a server without paying
+        for one: no harness, no job runners, no cache, no asyncio."""
+        loaded = _loaded_modules("import repro.service.client")
+        assert "asyncio" not in loaded
+        assert not {
+            name for name in loaded
+            if name.startswith(("repro.exec", "repro.jobs"))
+            or name in ("repro.service.server", "repro.service.cache")
+        }
 
     def test_parser_loads_no_job_runner(self):
         loaded = _loaded_packages("repro.cli.build_parser()")
