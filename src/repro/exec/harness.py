@@ -416,9 +416,10 @@ class HarnessRunner:
         length in bytes, from one read of a previous run's file.
 
         Returns ``None`` when the file holds no complete line — empty, or
-        one torn line (a run that died before its header landed): the
-        job starts fresh.  Any other file must begin with this job's
-        header, or this raises before anything is written.  The committed
+        one torn line (a run that died before its header landed; it
+        begins with ``{`` like every line the harness writes): the job
+        starts fresh.  Any other file must begin with this job's header,
+        or this raises before anything is written.  The committed
         prefix ends at the last ``header`` or ``shard-done`` line; what
         follows (orphan records of a shard killed mid-commit, a torn
         line) is cut before the run appends.  A shard only counts as
@@ -433,9 +434,9 @@ class HarnessRunner:
         torn = sum(entry is None for _, entry in lines) + bool(tail)
         if torn:
             obs.count("records.torn_lines", torn)
-        if not lines:
+        if not lines and tail[:1] in (b"", b"{"):
             return None
-        header = lines[0][1]
+        header = lines[0][1] if lines else None
         if header is None or header.get("type") != "header":
             raise ConfigurationError(f"{out}: not a {factory.kind} file")
         expected = self.job.header()

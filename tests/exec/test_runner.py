@@ -234,14 +234,16 @@ class TestResumeRefusal:
         out.write_text("".join(lines) + lines[1])
         self.refuse(spec, faults, out, "cannot resume — seed")
 
-    def test_json_non_object_refused(self, spec, faults, tmp_path):
+    @pytest.mark.parametrize("content", ["[1, 2]\n", "[1, 2]"])
+    def test_json_non_object_refused(self, spec, faults, tmp_path, content):
         out = tmp_path / "list.jsonl"
-        out.write_text("[1, 2]\n")
+        out.write_text(content)
         self.refuse(spec, faults, out, "not a campaign results file")
 
-    def test_plain_text_refused(self, spec, faults, tmp_path):
+    @pytest.mark.parametrize("content", ["first line\nsecond line\n", "one line"])
+    def test_plain_text_refused(self, spec, faults, tmp_path, content):
         out = tmp_path / "notes.txt"
-        out.write_text("first line\nsecond line\n")
+        out.write_text(content)
         self.refuse(spec, faults, out, "not a campaign results file")
 
     def test_lone_torn_header_starts_fresh(self, spec, faults, tmp_path):
