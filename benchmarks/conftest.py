@@ -3,9 +3,12 @@
 Every harness writes its rendered table under ``results/`` so the
 regenerated paper artifacts are inspectable files, and every benchmark
 module accumulates a machine-readable ``results/BENCH_<module>.json`` —
-wall-clock seconds per test (recorded automatically) plus whatever key
-stats the test adds via ``record_bench`` — so the performance trajectory
-is trackable across PRs with ``git diff``-able artifacts.
+seconds per test plus whatever key stats the test adds via
+``record_bench`` — so the performance trajectory is trackable across PRs
+with ``git diff``-able artifacts.  ``seconds`` is the time of the work
+the test measures when the test records it (a module fixture's
+measurement pass, one timed call of a micro-benchmark), else the test's
+own wall-clock duration.
 
 Every BENCH file carries a ``manifest`` block (host, effective cores,
 Python — :func:`repro.obs.metrics.environment`) so a committed number is
@@ -62,8 +65,9 @@ def record_bench(results_dir, request, _bench_json_reset):
 
     Call as ``record_bench(faults_per_second=123.4, ...)``; values must be
     JSON-serializable.  Repeated calls merge keys.  The autouse timer
-    below contributes the ``seconds`` key for every benchmark test, so
-    modules that have nothing extra to report still emit their file.
+    below contributes the ``seconds`` key for every benchmark test that
+    did not record its own, so modules that have nothing extra to report
+    still emit their file.
 
     Each module's file starts fresh on its first write of a session, so
     renamed or deleted tests cannot leave stale entries behind, and a
@@ -71,8 +75,10 @@ def record_bench(results_dir, request, _bench_json_reset):
     """
     module = request.module.__name__
     path = results_dir / f"BENCH_{module}.json"
+    recorded: set[str] = set()
 
     def recorder(**stats) -> None:
+        recorded.update(stats)
         payload = {"benchmark": module, "results": {}}
         if path in _bench_json_reset and path.exists():
             try:
@@ -92,12 +98,16 @@ def record_bench(results_dir, request, _bench_json_reset):
         entry.update(stats)
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
+    #: Keys this test recorded so far.
+    recorder.recorded = recorded
     return recorder
 
 
 @pytest.fixture(autouse=True)
 def _record_bench_seconds(record_bench):
-    """Record every benchmark test's wall-clock duration."""
+    """Record every benchmark test's wall-clock duration, unless the test
+    recorded the seconds of the work it measures itself."""
     start = time.perf_counter()
     yield
-    record_bench(seconds=round(time.perf_counter() - start, 4))
+    if "seconds" not in record_bench.recorded:
+        record_bench(seconds=round(time.perf_counter() - start, 4))

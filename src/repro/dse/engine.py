@@ -35,8 +35,9 @@ so the point records — and any aggregate ordered by point index, such as
 the frontier — are identical for any worker count and either functional
 backend (shards *commit* in completion order, so only the line order of
 a multi-worker file varies).  With ``workers > 1`` the parent records
-the per-workload golden runs and adversary corpora once and ships them
-to the pool through shared memory (:mod:`repro.exec.sharing`).
+each workload once, ships the contexts and adversary corpora derived
+from it to the pool through shared memory (:mod:`repro.exec.sharing`),
+and the forked workers inherit the recordings themselves.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from repro.cic.replay import replay_trace
 from repro.errors import ConfigurationError
 from repro.eval.common import baseline_run, workload_fht
 from repro.exec.backends import Backend, get_backend
+from repro.exec.golden import pristine_recording
 from repro.exec.harness import (
     HarnessRunner,
     Job,
@@ -63,13 +65,13 @@ from repro.faults.campaign import (
     CampaignContext,
     CampaignReport,
     WarmProcess,
+    build_context,
     same_column_pairs,
 )
 from repro.dse.objectives import DEFAULT_FRONTIER
 from repro.dse.pareto import FrontierReport, pareto_frontier
 from repro.dse.space import DSE_VERSION, ConfigSpace, MonitorConfig
 from repro.osmodel.policies import get_policy
-from repro.pipeline.trace import executed_addresses
 from repro.utils.jsonl import read_lines
 from repro.utils.tables import TextTable
 from repro.workloads.suite import build, workload_inputs
@@ -119,7 +121,7 @@ class DsePoint:
 class DseWorkspace:
     """Everything one worker keeps warm across the points it evaluates.
 
-    Golden runs, FHTs, adversary corpora, and the penalty-independent
+    Contexts, FHTs, adversary corpora, and the penalty-independent
     measures — replay statistics and detection reports keyed by
     ``(workload, hash, iht, policy)`` — are shared across every point
     that agrees on them through the harness's
@@ -128,9 +130,9 @@ class DseWorkspace:
     are measured once.  (The cycle-measuring ``pipeline-golden`` backend
     adds the penalty to the key: its monitored cycle counts *depend* on
     the penalty model — that is the point of measuring.)  Every measure
-    of a workload shares one decode cache and one pristine recording,
-    which the golden backend records on the workload's first measure in
-    this workspace and overlays for every later one.
+    of a workload shares one decode cache and the process's one pristine
+    recording of the workload, whence its context, block trace, base
+    cycles and every measure's checkpoint store.
     """
 
     def __init__(
@@ -149,30 +151,20 @@ class DseWorkspace:
         self._measures = MeasureCache()
         self._synthesis = MeasureCache()
         self._baseline_synthesis = synthesize(None)
-        #: Per workload: one decode cache and one pristine-recording memo.
-        self._warm_caches: dict[str, tuple[dict, dict]] = {}
+        #: Per workload: the decode cache its measures share.
+        self._decode_caches: dict[str, dict] = {}
 
     # -- shared inputs ---------------------------------------------------
 
     def base_context(self, workload: str) -> CampaignContext:
-        """Monitor-agnostic campaign context built from the cached golden
-        run (the same record the Figure-6 replay consumes)."""
+        """Monitor-agnostic campaign context, derived from the workload's
+        pristine recording (the Figure-6 replay consumes its trace)."""
+        scale = self.space.scale
         return self._contexts.get(
-            workload, lambda: self._build_context(workload)
-        )
-
-    def _build_context(self, workload: str) -> CampaignContext:
-        golden = baseline_run(workload, self.space.scale)
-        inputs = workload_inputs(workload, self.space.scale)
-        return CampaignContext(
-            program=build(workload, self.space.scale),
-            inputs=list(inputs) if inputs else None,
-            golden_console=golden.console,
-            golden_exit=golden.exit_code,
-            executed_addresses=executed_addresses(golden.block_trace),
-            executed_blocks=tuple(sorted(golden.block_trace.unique_blocks())),
-            instruction_budget=max(10_000, golden.instructions * 20),
-            golden_instructions=golden.instructions,
+            workload,
+            lambda: build_context(
+                build(workload, scale), inputs=workload_inputs(workload, scale)
+            ),
         )
 
     def adversary(self, workload: str) -> list:
@@ -191,7 +183,7 @@ class DseWorkspace:
                 seed=self.seed,
             )
         if space.adversary == "same-column":
-            golden = baseline_run(workload, space.scale)
+            golden = pristine_recording(self.base_context(workload)).store.result
             return same_column_pairs(
                 golden.block_trace, space.pair_count, self.seed
             )
@@ -231,17 +223,13 @@ class DseWorkspace:
 
     def _warm(self, workload: str, context: CampaignContext) -> WarmProcess:
         """The warm caches of one measure: the FHT cached for its
-        (workload, hash), plus the decode cache and pristine recordings
-        every measure of the workload shares in this workspace."""
-        decode_cache, recordings = self._warm_caches.setdefault(
-            workload, ({}, {})
-        )
+        (workload, hash), plus the decode cache every measure of the
+        workload shares in this workspace."""
         return WarmProcess(
             program=context.program,
             fht=workload_fht(workload, self.space.scale, context.hash_name),
             hash_name=context.hash_name,
-            decode_cache=decode_cache,
-            recordings=recordings,
+            decode_cache=self._decode_caches.setdefault(workload, {}),
         )
 
     def _measure(self, workload: str, config: MonitorConfig) -> dict:

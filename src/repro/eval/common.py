@@ -1,33 +1,36 @@
 """Shared infrastructure for the evaluation harnesses.
 
-Workload traces and baseline runs are cached per (workload, scale): the
-Figure 6 sweep replays one recorded trace through many IHT configurations
+A workload's baseline is its one pristine recording in the process: the
+Figure 6 sweep replays its block trace through many IHT configurations
 instead of re-simulating, and Table 1 reuses the same baseline cycles.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
 
 from repro.cfg.hashgen import build_fht
 from repro.cic.fht import FullHashTable
 from repro.cic.hashes import get_hash
+from repro.exec.golden import pristine_recording
+from repro.faults.campaign import CampaignContext
 from repro.osmodel.loader import load_process
-from repro.pipeline.funcsim import FuncSim, RunResult, run_program
+from repro.pipeline.funcsim import FuncSim, RunResult
 from repro.workloads.suite import build, workload_inputs
 
 
 @lru_cache(maxsize=None)
 def baseline_run(name: str, scale: str = "default") -> RunResult:
-    """Unmonitored run with the block trace collected.
-
-    Uses the same trace-capture path (`run_program(collect_trace=True)`)
-    as the campaign engine's golden runs, so Figure-6 replay and the
-    campaign backends consume one definition of the recorded trace.
-    """
-    program = build(name, scale)
-    return run_program(
-        program, collect_trace=True, inputs=workload_inputs(name, scale)
+    """The unmonitored run with its block trace, read off the workload's
+    recording; its cycles replay the fetch stream with no monitor."""
+    recording = pristine_recording(
+        CampaignContext(build(name, scale), inputs=workload_inputs(name, scale))
+    )
+    return replace(
+        recording.store.result,
+        cycles=recording.unmonitored_cycles(),
+        monitor_stats=None,
     )
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.faults.campaign import CampaignReport, Outcome, same_column_pairs
-from repro.eval.common import baseline_run
+from repro.exec.golden import pristine_recording
 from repro.exec.runner import CampaignRunner
 from repro.exec.spec import CampaignSpec
 from repro.utils.tables import TextTable
@@ -118,12 +118,11 @@ def run_fault_analysis(
     result.scenarios.append(
         FaultScenario("2-bit, one word", runner.run(multi, seed=seed + 1).report())
     )
-    # The cached baseline trace supplies the same block set (in the same
+    # The recording's block trace supplies the same block set (in the same
     # iteration order) the historical sampler drew from, so the pair list
     # — and the committed BENCH numbers — stay byte-identical.
-    pairs = same_column_pairs(
-        baseline_run(workload, scale).block_trace, multi_bit_count, seed + 2
-    )
+    golden = pristine_recording(campaign.context).store.result
+    pairs = same_column_pairs(golden.block_trace, multi_bit_count, seed + 2)
     result.scenarios.append(
         FaultScenario(
             "2-bit, same column, same block",

@@ -25,11 +25,11 @@ name                execution strategy
                     measurement
 ==================  =====================================================
 
-Backends self-describe through two small hooks the execution harness
-calls: :meth:`Backend.prepare` builds the per-worker state once (e.g.
-record the golden run and its checkpoints), :meth:`Backend.run_batch`
-executes a batch of injections against it — a single injection is a
-batch of one.  Registering a new backend is one
+Backends self-describe through three small hooks:
+:meth:`Backend.pristine_run` is the recorded run a context derives from,
+:meth:`Backend.prepare` builds the per-worker state on it once,
+:meth:`Backend.run_batch` executes a batch of injections against it — a
+single injection is a batch of one.  Registering a new backend is one
 :func:`register_backend` call; every consumer — ``CampaignSpec``
 validation, the harness workspaces, the DSE engine, the CLI ``--backend``
 choices — resolves names through this registry.
@@ -41,11 +41,12 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.faults.campaign import CampaignContext, FaultResult, WarmProcess, run_one
-from repro.exec.golden import build_golden_store, run_batch_golden
+from repro.exec.golden import build_golden_store, pristine_recording, run_batch_golden
 from repro.exec.pipeline_golden import (
     build_pipeline_golden_store,
     run_batch_pipeline_golden,
 )
+from repro.pipeline.funcsim import RunResult
 
 
 class Backend:
@@ -58,6 +59,11 @@ class Backend:
     #: Whether :meth:`run_batch` fills :attr:`FaultResult.cycles` with
     #: measured cycle counts (the cycle-level backends).
     measures_cycles: bool = False
+
+    def pristine_run(self, config: CampaignContext) -> RunResult:
+        """*config*'s pristine run, block trace included: the one
+        recording per process that :meth:`prepare` builds on."""
+        return pristine_recording(config).store.result
 
     def prepare(self, context: CampaignContext, warm: WarmProcess):
         """Build the per-worker execution state for *context* once."""
@@ -103,6 +109,9 @@ class PipelineGoldenBackend(Backend):
     name = "pipeline-golden"
     description = "fork the cycle-level pipeline at the fault (measured cycles)"
     measures_cycles = True
+
+    def pristine_run(self, config):
+        return build_pipeline_golden_store(config).result
 
     def prepare(self, context, warm):
         return build_pipeline_golden_store(context, warm)

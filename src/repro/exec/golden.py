@@ -4,33 +4,30 @@ The full backend re-executes the entire workload for every injection, even
 though a fault at address *A* cannot influence anything before the first
 fetch of *A* — every instruction up to that point replays the pristine
 ("golden") run exactly.  The golden backends record the golden run **once**
-per worker and fork each injection at the fault instead.  This module
+per process and fork each injection at the fault instead.  This module
 holds what the functional and the cycle-level backend
 (:mod:`repro.exec.pipeline_golden`) share, plus the functional kernel:
 
 1. :func:`record_store` executes the *monitored* pristine run on either
-   simulator, pausing every ``interval`` instructions to snapshot it and
-   the monitor (CIC registers, IHT rows, handler counters, policy state).
-   The same run records, per text address, the ordinals of its fetches,
-   plus the set of text words the program ever reads as *data* or
-   stores to.  On :class:`FuncSim` the store comes in two parts.  The
-   CIC only observes the fetch stream, so the pristine run executes
-   identically under every hash, IHT size, replacement policy and miss
-   penalty; the monitor changes only timing, through OS miss handling.
-   :func:`record_pristine` records the run once per program and inputs,
-   keeping — beside the recording configuration's own store — a
-   :class:`PristineRecording` of everything no monitor changes: the
-   snapshots' architected state, the fetch ordinals, the unsafe words,
-   and the fetch stream with its redirect points.
-   :func:`overlay_monitor` then builds any other configuration's store
-   without executing an instruction, by replaying a fresh checker, its
-   OS handler and :class:`FuncSim`'s scoreboard over that stream; each
-   checkpoint equals what :func:`record_store` would take at the same
-   instruction.  :func:`build_golden_store` memoizes the recording in
-   :attr:`~repro.faults.campaign.WarmProcess.recordings`, so a DSE
-   worker records each workload once and overlays every configuration
-   it measures.  The cycle-level store, whose timing the monitor changes
-   cycle by cycle, is one monitored recording per configuration.
+   simulator, pausing to snapshot it and the monitor (CIC registers, IHT
+   rows, handler counters, policy state) on an interval that doubles as
+   the run grows.  The same run records, per text address, the ordinals
+   of its fetches, the text words the program reads as *data* or stores
+   to, and its block trace — from which the campaign's golden reference
+   is derived (:func:`~repro.faults.campaign.build_context`), so no other
+   pristine run exists.  The CIC only observes the fetch stream, so the
+   pristine run executes identically under every hash, IHT size,
+   replacement policy and miss penalty; the monitor changes only timing,
+   through OS miss handling.  :func:`pristine_recording` therefore
+   records the :class:`FuncSim` run once per program and inputs in a
+   process, keeping a :class:`PristineRecording` with the fetch stream
+   and its redirect points; :func:`overlay_monitor` builds any other
+   configuration's store from it without executing an instruction, by
+   replaying a fresh checker, its OS handler and :class:`FuncSim`'s
+   scoreboard over that stream, each checkpoint equal to what
+   :func:`record_store` would take.  The cycle-level store, whose timing
+   the monitor changes cycle by cycle, is one recording per
+   configuration.
 2. :func:`plan_fork` plans one injection: the first fetch ordinal at
    which the perturbation can corrupt the pipeline follows directly from
    the recorded ordinals.  A perturbation that can never deliver —
@@ -65,8 +62,10 @@ monitored recordings, checkpoint for checkpoint.
 
 from __future__ import annotations
 
+import pickle
 from array import array
 from bisect import bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigurationError
@@ -81,15 +80,20 @@ from repro.faults.campaign import (
     split_perturbation,
 )
 from repro.isa.properties import CONTROL_FLOW
-from repro.pipeline.funcsim import FuncSim, FuncSimSnapshot, _Scoreboard
+from repro.pipeline.funcsim import FuncSim, RunResult, _Scoreboard
 from repro.pipeline.hazards import CycleModel
 from repro.pipeline.memory import Memory
+from repro.pipeline.trace import BlockTrace
 
-#: Aim for this many checkpoints over the golden run by default.
+#: A long recording keeps between this many and twice this many checkpoints.
 DEFAULT_CHECKPOINT_COUNT = 64
 
-#: Floor on the checkpoint interval (snapshots cost memory and copies).
+#: Where the checkpoint interval starts (snapshots cost memory and copies).
 MIN_CHECKPOINT_INTERVAL = 32
+
+#: Recordings a process keeps, oldest dropped first: a sweep over every
+#: workload fits, a long-lived ``repro serve`` stays bounded.
+RECORDINGS_KEPT = 12
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,15 +164,15 @@ class _RedirectLog(_Scoreboard):
     """:class:`FuncSim`'s scoreboard, noting the fetch ordinal of every
     instruction that redirects fetch (a taken branch or any jump)."""
 
-    __slots__ = ("_stream", "ordinals")
+    __slots__ = ("_simulator", "ordinals")
 
-    def __init__(self, model, stream: array) -> None:
-        super().__init__(model)
-        self._stream = stream
+    def __init__(self, simulator: FuncSim) -> None:
+        super().__init__(simulator.cycle_model)
+        self._simulator = simulator
         self.ordinals = array("I")
 
     def redirect(self) -> None:
-        self.ordinals.append(len(self._stream))
+        self.ordinals.append(self._simulator.fetch_hook.fetches)
         _Scoreboard.redirect(self)
 
 
@@ -249,6 +253,9 @@ class GoldenStore:
     #: analytic Table-1 accounting predicts.  Only the cycle-level
     #: recording sets it.
     golden_cycles: int | None = None
+    #: The recorded run: console, exit code, instruction count and block
+    #: trace.  Its cycles are the recording configuration's.
+    result: RunResult | None = None
     #: Fetch counts of ``checkpoints``, for bisection.
     _marks: list[int] = field(default_factory=list)
 
@@ -270,37 +277,29 @@ class GoldenStore:
         return counts
 
 
-def checkpoint_interval(golden_instructions: int) -> int:
-    """Default spacing: ~:data:`DEFAULT_CHECKPOINT_COUNT` checkpoints."""
-    return max(
-        MIN_CHECKPOINT_INTERVAL,
-        golden_instructions // DEFAULT_CHECKPOINT_COUNT,
-    )
-
-
 def record_store(
     context: CampaignContext,
     warm: WarmProcess,
     interval: int | None,
     simulator,
     label: str,
-    recorder: _StreamRecorder | None = None,
 ) -> GoldenStore:
     """Record the monitored golden run of *simulator* with checkpoints.
 
     *simulator* is a freshly booted, monitored :class:`FuncSim` or
     :class:`~repro.pipeline.cpu.PipelineCPU`; *label* names the
-    ``<label>.record`` span and the recording counters; *recorder*, if
-    given, is the fetch-stream recorder to run it under.  Costs roughly
-    one monitored run plus the snapshot copies; every injection of the
-    campaign then starts from a checkpoint instead of instruction zero.
+    ``<label>.record`` span and the recording counters.  With no
+    *interval*, every other checkpoint goes and the interval doubles
+    whenever they pass twice the default count.  A *context* with a
+    golden reference is checked against the run, and the simulator's
+    fetch hook is left holding the fetch stream.
     """
-    if interval is None:
-        interval = checkpoint_interval(context.golden_instructions)
+    thinning = interval is None
+    if thinning:
+        interval = MIN_CHECKPOINT_INTERVAL
     if interval < 1:
         raise ConfigurationError(f"checkpoint interval must be >= 1: {interval}")
-    if recorder is None:
-        recorder = _StreamRecorder()
+    recorder = _StreamRecorder()
     with obs.span(f"{label}.record"):
         simulator.fetch_hook = recorder
         memory = _ReadRecordingMemory(
@@ -310,17 +309,25 @@ def record_store(
         )
         simulator.state.memory = memory
         checkpoints = [_checkpoint(simulator, 0)]
-        mark = interval
+        trace = BlockTrace()
         while True:
-            result = simulator.run(until=mark)
+            simulator._trace = trace  # attached only while it runs
+            result = simulator.run(until=checkpoints[-1].instructions + interval)
+            simulator._trace = None
             if result.finished:
                 break
-            checkpoints.append(_checkpoint(simulator, recorder.fetches))
-            mark += interval
-    if (
+            checkpoint = _checkpoint(simulator, recorder.fetches)
+            # Pages no instruction wrote since the last checkpoint are shared.
+            pages, last = checkpoint.sim.arch.pages, checkpoints[-1].sim.arch.pages
+            pages.update([(n, last[n]) for n, p in pages.items() if last.get(n) == p])
+            checkpoints.append(checkpoint)
+            if thinning and len(checkpoints) > 2 * DEFAULT_CHECKPOINT_COUNT:
+                del checkpoints[1::2]
+                interval *= 2
+    if context.golden_instructions and (
         result.console != context.golden_console
         or result.exit_code != context.golden_exit
-    ):  # pragma: no cover - invariant
+    ):
         raise ConfigurationError(
             "monitored golden run diverged from the recorded reference"
         )
@@ -341,25 +348,40 @@ def record_store(
         unsafe_words=frozenset(unsafe),
         golden_instructions=result.instructions,
         interval=interval,
+        # Measured by the cycle-level pipeline; FuncSim keeps no count.
+        golden_cycles=getattr(simulator, "cycles", None),
+        result=result,
     )
+
+
+#: Recordings by :func:`kept` key, oldest first.  Each call on it is atomic;
+#: threads that record one key at once each record it, equally.
+_RECORDINGS: OrderedDict[tuple, object] = OrderedDict()
+
+
+def kept(context: CampaignContext, record, *key):
+    """The recording of *context*'s program and inputs under *key*, made
+    by ``record()`` the first time this process asks for it."""
+    program = context.program
+    image = pickle.dumps((program.entry, program.text, program.data))
+    key = (image, tuple(context.inputs or ()), *key)
+    recording = _RECORDINGS.get(key)
+    if recording is None:
+        recording = _RECORDINGS[key] = record()
+        while len(_RECORDINGS) > RECORDINGS_KEPT:
+            _RECORDINGS.popitem(last=False)
+    return recording
 
 
 @dataclass(slots=True)
 class PristineRecording:
     """The golden run of one program and its inputs, as every monitor
-    configuration sees it.
+    configuration sees it: nothing an overlay reads here depends on the
+    monitor."""
 
-    Nothing an overlay reads here depends on the monitor, so one
-    recording serves every :func:`overlay_monitor` of a workload.
-    """
-
-    #: :class:`FuncSim` snapshots at instruction zero and every
-    #: ``interval`` instructions.  Their scoreboard registers hold the
-    #: recording configuration's timing; an overlay replaces them.
-    snapshots: list[FuncSimSnapshot]
-    fetch_ordinals: dict[int, tuple[int, ...]]
-    unsafe_words: frozenset[int]
-    interval: int
+    #: The recording configuration's store; an overlay keeps its
+    #: architected state, fetch ordinals and unsafe words.
+    store: GoldenStore
     #: The fetch stream: per executed instruction, an index into ``ops``.
     stream: array
     #: Distinct stream entries ``(address, word, instruction, ends_block,
@@ -367,66 +389,74 @@ class PristineRecording:
     #: not, a word the program overwrote once per value fetched.
     ops: list[tuple]
 
+    def unmonitored_cycles(self) -> int:
+        """:class:`FuncSim`'s scoreboard replayed over the stream with no
+        monitor charge: the cycles of the run with no monitor attached."""
+        scoreboard = _Scoreboard(CycleModel())
+        for op in self.stream:
+            _address, _word, instruction, _ends, redirected = self.ops[op]
+            scoreboard.issue(instruction)
+            if redirected:
+                scoreboard.redirect()
+        return scoreboard.total_cycles()
 
-def record_pristine(
-    context: CampaignContext, warm: WarmProcess, interval: int
-) -> tuple[PristineRecording, GoldenStore]:
-    """Record the golden run once: *context*'s own store, and the
-    pristine recording every other monitor configuration overlays.
 
-    The run is monitored by *context*'s configuration, so its
-    checkpoints are that configuration's store as :func:`record_store`
-    takes it; the fetch stream, the redirect points and the snapshots'
-    architected state are the same under any monitor.  Costs one
-    monitored :class:`FuncSim` run, the snapshot copies, and one pass
-    that indexes the fetch stream.
+def pristine_recording(
+    context: CampaignContext,
+    warm: WarmProcess | None = None,
+    interval: int | None = None,
+) -> PristineRecording:
+    """The process's one :class:`FuncSim` recording of *context*'s program
+    and inputs (at *interval*), monitored by the first to ask for it.
+
+    Costs one monitored run, bounded by the simulator's own cap since the
+    budget derives from it, the snapshot copies, and one pass that indexes
+    the fetch stream.
     """
-    simulator = FuncSim(
-        context.program,
-        monitor=warm.fresh_checker(context),
-        inputs=context.inputs,
-        max_instructions=context.instruction_budget,
-        decode_cache=warm.decode_cache,
-    )
-    recorder = _StreamRecorder()
-    # The scoreboard is the one place FuncSim reports a redirect; a taken
-    # branch to the next instruction shows nowhere else.
-    redirects = _RedirectLog(simulator.cycle_model, recorder.addresses)
-    simulator._scoreboard = redirects
-    store = record_store(context, warm, interval, simulator, "golden", recorder)
-    redirected = bytearray(recorder.fetches + 1)
-    for ordinal in redirects.ordinals:
-        redirected[ordinal] = 1
-    # Number each distinct (address, word, redirected) in order of first
-    # fetch; every word fetched is in the decode cache by now.
-    index: dict[tuple[int, int, int], int] = {}
-    stream = array(
-        "I",
-        (
-            index.setdefault(entry, len(index))
-            for entry in zip(recorder.addresses, recorder.words, redirected[1:])
-        ),
-    )
-    decoded = warm.decode_cache
-    ops = [
-        (
-            address,
-            word,
-            decoded[word],
-            decoded[word].mnemonic in CONTROL_FLOW,
-            bool(taken),
+
+    def record() -> PristineRecording:
+        caches = warm or WarmProcess.from_context(context)
+        simulator = FuncSim(
+            context.program,
+            monitor=caches.fresh_checker(context),
+            inputs=context.inputs,
+            decode_cache=caches.decode_cache,
         )
-        for address, word, taken in index
-    ]
-    pristine = PristineRecording(
-        snapshots=[checkpoint.sim for checkpoint in store.checkpoints],
-        fetch_ordinals=store.fetch_ordinals,
-        unsafe_words=store.unsafe_words,
-        interval=store.interval,
-        stream=stream,
-        ops=ops,
-    )
-    return pristine, store
+        # The scoreboard is the one place FuncSim reports a redirect; a
+        # taken branch to the next instruction shows nowhere else.
+        redirects = _RedirectLog(simulator)
+        simulator._scoreboard = redirects
+        store = record_store(context, caches, interval, simulator, "golden")
+        recorder = simulator.fetch_hook
+        redirected = bytearray(recorder.fetches + 1)
+        for ordinal in redirects.ordinals:
+            redirected[ordinal] = 1
+        # Number each distinct (address, word, redirected) in order of
+        # first fetch; every word fetched is in the decode cache by now.
+        index: dict[tuple[int, int, int], int] = {}
+        stream = array(
+            "I",
+            (
+                index.setdefault(entry, len(index))
+                for entry in zip(
+                    recorder.addresses, recorder.words, redirected[1:]
+                )
+            ),
+        )
+        decoded = caches.decode_cache
+        ops = [
+            (
+                address,
+                word,
+                decoded[word],
+                decoded[word].mnemonic in CONTROL_FLOW,
+                bool(taken),
+            )
+            for address, word, taken in index
+        ]
+        return PristineRecording(store, stream, ops)
+
+    return kept(context, record, interval)
 
 
 def overlay_monitor(
@@ -436,7 +466,7 @@ def overlay_monitor(
 
     Replays a fresh checker, its OS handler and :class:`FuncSim`'s
     scoreboard over the fetch stream, in the order :meth:`FuncSim.run`
-    drives them, and checkpoints them at every pristine snapshot.  The
+    drives them, and checkpoints them at every pristine checkpoint.  The
     stream runs to its end, so a monitor that would stop the pristine
     run raises here as it would in a monitored recording.
     """
@@ -452,8 +482,8 @@ def overlay_monitor(
     checkpoints: list[Checkpoint] = []
     done = 0
     with obs.span("golden.overlay"):
-        for snapshot in (*pristine.snapshots, None):
-            mark = len(stream) if snapshot is None else snapshot.instructions
+        for recorded in (*pristine.store.checkpoints, None):
+            mark = len(stream) if recorded is None else recorded.instructions
             for op in stream[done:mark]:
                 address, word, instruction, ends_block, redirected = ops[op]
                 fold(address, word)
@@ -461,27 +491,19 @@ def overlay_monitor(
                 if redirected:
                     redirect()
             done = mark
-            if snapshot is not None:
+            if recorded is not None:
                 checkpoints.append(
                     Checkpoint(
                         mark,
                         mark,
-                        replace(snapshot, scoreboard=scoreboard.capture()),
+                        replace(recorded.sim, scoreboard=scoreboard.capture()),
                         checker.snapshot(),
                         handler.snapshot(),
                     )
                 )
     obs.count("golden.stores_overlaid")
     obs.count("golden.checkpoints", len(checkpoints))
-    return GoldenStore(
-        context=context,
-        warm=warm,
-        checkpoints=checkpoints,
-        fetch_ordinals=pristine.fetch_ordinals,
-        unsafe_words=pristine.unsafe_words,
-        golden_instructions=len(stream),
-        interval=pristine.interval,
-    )
+    return replace(pristine.store, context=context, warm=warm, checkpoints=checkpoints)
 
 
 def build_golden_store(
@@ -489,23 +511,16 @@ def build_golden_store(
     warm: WarmProcess | None = None,
     interval: int | None = None,
 ) -> GoldenStore:
-    """The :class:`FuncSim` store of *context*.
-
-    The first store of a program and its inputs records the golden run
-    (:func:`record_pristine`) and memoizes the recording in
-    ``warm.recordings``; every later one overlays its monitor
-    configuration on it (:func:`overlay_monitor`).
-    """
+    """The :class:`FuncSim` store of *context*: the checkpoints of the
+    program's one recording (:func:`pristine_recording`), with *context*'s
+    monitor overlaid (:func:`overlay_monitor`) unless it is the
+    recording's own."""
     warm = warm or WarmProcess.from_context(context)
-    if interval is None:
-        interval = checkpoint_interval(context.golden_instructions)
-    key = (interval, context.instruction_budget, tuple(context.inputs or ()))
-    pristine = warm.recordings.get(key)
-    if pristine is not None:
+    pristine = pristine_recording(context, warm, interval)
+    if pristine.store.context.monitor != context.monitor:
         return overlay_monitor(pristine, context, warm)
-    pristine, store = record_pristine(context, warm, interval)
-    warm.recordings[key] = pristine
-    return store
+    obs.count("golden.stores_reused")
+    return replace(pristine.store, context=context, warm=warm)
 
 
 def plan_fork(store: GoldenStore, fault) -> tuple[tuple, tuple, int] | None:

@@ -532,10 +532,11 @@ class HarnessRunner:
                     telem.count("harness.resume.shards", len(done_shards))
                     telem.count("harness.resume.records", len(records))
 
-            plan = job.shards()
-            pending = [task for task in plan if task[0] not in done_shards]
-            if stop_after_shards is not None:
-                pending = pending[:stop_after_shards]
+            with telem.span("plan"):
+                plan = job.shards()
+                pending = [task for task in plan if task[0] not in done_shards]
+                if stop_after_shards is not None:
+                    pending = pending[:stop_after_shards]
 
             # The event log rides the same switch as the rest of the
             # telemetry (pure observer; repro.obs.events) and the same
@@ -551,9 +552,10 @@ class HarnessRunner:
 
             results = None
             if out_path is not None:
-                results = AppendLog(out_path, keep=committed)
-                if not resuming:
-                    results.append(job.header())
+                with telem.span("open"):
+                    results = AppendLog(out_path, keep=committed)
+                    if not resuming:
+                        results.append(job.header())
 
             progress = {
                 "shards_done": len(done_shards),
@@ -633,10 +635,11 @@ class HarnessRunner:
                             ),
                         )
             finally:
-                if results is not None:
-                    results.close()
-                if events is not None:
-                    events.close()
+                with telem.span("close"):
+                    if results is not None:
+                        results.close()
+                    if events is not None:
+                        events.close()
 
         if collect:
             telem.merge(obs.local().drain())

@@ -11,7 +11,9 @@ per penalty model by *measurement* instead of the (exact, but analytic)
 Table-1 accounting, and tampered runs can be costed in real cycles.
 
 The store, its record loop, the fork planner and the transient seek are
-:mod:`repro.exec.golden`'s, with one twist the shared
+:mod:`repro.exec.golden`'s; the campaign context derives from the
+recording's ID-stage block trace, which the differential tier pins equal
+to ``FuncSim``'s.  One twist the shared
 :class:`~repro.exec.golden.Checkpoint` carries: the pipeline fetches
 *speculatively* (a wrong-path slot is fetched, latched, and squashed), so
 fetch ordinals live in fetch-sequence space rather than instruction
@@ -35,6 +37,8 @@ against full :class:`PipelineCPU` replay — outcome, detail, latency,
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.obs import core as obs
 from repro.faults.campaign import (
     CampaignContext,
@@ -47,6 +51,7 @@ from repro.faults.campaign import (
 )
 from repro.exec.golden import (
     GoldenStore,
+    kept,
     plan_fork,
     record_store,
     restore_checkpoint,
@@ -72,17 +77,23 @@ def build_pipeline_golden_store(
     warm: WarmProcess | None = None,
     interval: int | None = None,
 ) -> GoldenStore:
-    """Record the monitored pristine run on the cycle-level pipeline.
+    """Record the monitored pristine run on the cycle-level pipeline, once
+    per program, inputs and monitor configuration in a process.
 
     Costs one monitored :class:`PipelineCPU` run plus the snapshot
     copies; every injection then forks at a checkpoint, and the run's
     measured cycle count is kept as ``golden_cycles``.
     """
     warm = warm or WarmProcess.from_context(context)
-    cpu = _fresh_cpu(context, warm)
-    store = record_store(context, warm, interval, cpu, "pipeline_golden")
-    store.golden_cycles = cpu.cycles
-    return store
+    store = kept(
+        context,
+        lambda: record_store(
+            context, warm, interval, _fresh_cpu(context, warm), "pipeline_golden"
+        ),
+        interval,
+        *context.monitor,
+    )
+    return replace(store, context=context, warm=warm)
 
 
 def classify_pipeline_run(

@@ -24,10 +24,11 @@ format: existing campaign files load and resume unchanged
 pre-redesign fixtures).
 
 Determinism and resumability are the harness's guarantees — see
-:mod:`repro.exec.harness`.  With ``workers > 1`` the parent records the
-workspace once (golden run, warm caches, checkpoint store) and ships it
-to the pool through shared memory instead of every worker re-recording
-it (:mod:`repro.exec.sharing`).
+:mod:`repro.exec.harness`.  The parent records the pristine program once,
+derives the campaign context from that recording, and builds its
+workspace (warm caches, checkpoint store) on it; with ``workers > 1`` it
+ships the workspace to the pool through shared memory instead of every
+worker re-recording it (:mod:`repro.exec.sharing`).
 """
 
 from __future__ import annotations
@@ -200,7 +201,6 @@ class CampaignRunner:
         spec: CampaignSpec,
         workers: int = 1,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-        campaign: FaultCampaign | None = None,
         share: bool = True,
         batch_size: int | None = None,
         workspace: Workspace | None = None,
@@ -212,12 +212,8 @@ class CampaignRunner:
         # Execution knob only — never recorded in artifacts: batch_size
         # sizes the batched-kernel calls (None = whole shard at once).
         self.batch_size = batch_size
-        # An optional pre-built parent-side campaign skips re-running the
-        # golden simulation when the caller already has an equivalent
-        # context (e.g. a hash/policy sweep over one program); an optional
-        # pre-built workspace additionally skips recording the checkpoint
-        # store (e.g. a service-tier checkpoint-cache lease).
-        self._campaign = campaign
+        # An optional pre-built workspace (a service-tier checkpoint-cache
+        # lease) supplies the context and the checkpoint store.
         self._workspace: Workspace | None = workspace
         self._factory = CampaignWorkspaceFactory(spec, batch_size=batch_size)
         validate_plan(workers=workers, chunk_size=chunk_size)
@@ -226,19 +222,16 @@ class CampaignRunner:
 
     @property
     def campaign(self) -> FaultCampaign:
-        """Parent-side campaign (lazy): golden run plus fault generators."""
-        if self._campaign is None:
-            self._campaign = self.spec.build_campaign()
-        return self._campaign
+        """Fault generators over the workspace's context, which is derived
+        from the program's one pristine recording."""
+        return FaultCampaign.from_context(self.workspace.context)
 
     @property
     def workspace(self) -> Workspace:
         """Parent-side workspace (lazy): the serial path and the source
         of the pool's shared payload."""
         if self._workspace is None:
-            self._workspace = Workspace.build(
-                self.spec, context=self.campaign.context
-            )
+            self._workspace = Workspace.build(self.spec)
         return self._workspace
 
     # ------------------------------------------------------------------
@@ -309,17 +302,12 @@ def config_runners(
 ) -> Iterator[CampaignRunner]:
     """One runner per hash × policy configuration of *spec*'s program.
 
-    The parent-side golden run is recorded once, for the first
-    configuration, and shared: the program and its inputs fix it, never
-    the monitor configuration.  *options* go to every runner.
+    The program and its inputs fix the pristine run, never the monitor
+    configuration: the first configuration records it, and every other
+    one overlays its monitor on that recording.  *options* go to every
+    runner.
     """
-    base = None
     for hash_name in hash_names:
         for policy_name in policy_names:
             cell = replace(spec, hash_name=hash_name, policy_name=policy_name)
-            if base is None:
-                base = cell.build_context()
-            context = replace(base, hash_name=hash_name, policy_name=policy_name)
-            yield CampaignRunner(
-                cell, campaign=FaultCampaign.from_context(context), **options
-            )
+            yield CampaignRunner(cell, **options)

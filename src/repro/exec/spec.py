@@ -3,11 +3,11 @@
 Simulators, monitors, and assembled :class:`~repro.asm.program.Program`
 images never cross a process boundary: a :class:`CampaignSpec` carries only
 plain data — a workload name (or raw assembly source) plus the monitor
-configuration — and every worker process *re-derives* its own program,
-golden run, and :class:`~repro.faults.campaign.CampaignContext` from it.
-Because the derivation is deterministic, a context built in any process is
-equivalent, and campaign results are reproducible regardless of how many
-workers the pool uses.
+configuration — from which any process derives the program, its one
+pristine recording, and the :class:`~repro.faults.campaign.CampaignContext`
+read off that recording.  Because the derivation is deterministic, a
+context built in any process is equivalent, and campaign results are
+reproducible regardless of how many workers the pool uses.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.asm.program import Program
 from repro.cic.hashes import get_hash
 from repro.errors import ConfigurationError
 from repro.exec.backends import BACKENDS, get_backend
-from repro.faults.campaign import CampaignContext, FaultCampaign, build_context
+from repro.faults.campaign import CampaignContext, build_context
 from repro.osmodel.policies import get_policy
 from repro.utils.seeds import derive_seed
 from repro.workloads.suite import SCALES, WORKLOAD_NAMES
@@ -119,7 +119,8 @@ class CampaignSpec:
         return None
 
     def build_context(self) -> CampaignContext:
-        """Assemble the program and run the golden reference simulation."""
+        """Assemble the program and derive its golden reference from the
+        backend's one pristine recording of it."""
         return build_context(
             self.build_program(),
             iht_size=self.iht_size,
@@ -127,11 +128,8 @@ class CampaignSpec:
             policy_name=self.policy_name,
             inputs=self.resolved_inputs(),
             instruction_budget_factor=self.instruction_budget_factor,
+            backend=self.backend,
         )
-
-    def build_campaign(self) -> FaultCampaign:
-        """A full :class:`FaultCampaign` (context + fault generators)."""
-        return FaultCampaign.from_context(self.build_context())
 
     # ------------------------------------------------------------------
     # Serialization (JSONL headers, resume validation)

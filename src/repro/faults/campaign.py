@@ -1,9 +1,9 @@
 """Fault campaigns: inject, run, classify.
 
-A campaign first runs the pristine program unmonitored to capture the
-*golden* console output and the set of executed instruction addresses.
-Each fault is then injected into a freshly loaded monitored simulation and
-the run's outcome is classified:
+A campaign's *golden* reference — console, exit code, executed code — is
+read off the one monitored recording of the pristine program that the
+backends fork faults from (:func:`build_context`).  Each fault is then
+injected into a monitored simulation and the run's outcome is classified:
 
 =====================  ====================================================
 outcome                meaning
@@ -38,7 +38,7 @@ from __future__ import annotations
 import enum
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.errors import (
     BudgetExceeded,
@@ -62,7 +62,7 @@ from repro.faults.models import (
     split_perturbation,
 )
 from repro.osmodel.loader import load_process
-from repro.pipeline.funcsim import FuncSim, run_program
+from repro.pipeline.funcsim import FuncSim
 from repro.pipeline.trace import executed_addresses
 
 
@@ -191,6 +191,11 @@ class CampaignContext:
     #: and the DSE penalty axis configure the handler through it.
     miss_penalty: int = 100
 
+    @property
+    def monitor(self) -> tuple:
+        """The monitor configuration: what a monitored run depends on."""
+        return (self.iht_size, self.hash_name, self.policy_name, self.miss_penalty)
+
 
 def build_context(
     program: Program,
@@ -199,16 +204,18 @@ def build_context(
     policy_name: str = "lru_half",
     inputs: list[int] | None = None,
     instruction_budget_factor: int = 20,
+    backend: str = "golden",
 ) -> CampaignContext:
-    """Run the golden (pristine, unmonitored) simulation and capture it."""
-    inputs = list(inputs) if inputs else None
-    golden = run_program(program, collect_trace=True, inputs=inputs)
-    return CampaignContext(
-        program=program,
-        iht_size=iht_size,
-        hash_name=hash_name,
-        policy_name=policy_name,
-        inputs=inputs,
+    """Capture the golden reference from *backend*'s one recording of the
+    pristine program (``Backend.pristine_run``), which its store reuses."""
+    from repro.exec.backends import get_backend  # recordings live a layer up
+
+    context = CampaignContext(
+        program, iht_size, hash_name, policy_name, list(inputs) if inputs else None
+    )
+    golden = get_backend(backend).pristine_run(context)
+    return replace(
+        context,
         golden_console=golden.console,
         golden_exit=golden.exit_code,
         executed_addresses=executed_addresses(golden.block_trace),
@@ -257,12 +264,6 @@ class WarmProcess:
     fht: FullHashTable
     hash_name: str
     decode_cache: dict = field(default_factory=dict)
-    #: Pristine recordings of the program, which do not depend on the
-    #: monitor: the golden backend records one on first use
-    #: (:func:`repro.exec.golden.build_golden_store`) and overlays every
-    #: monitor configuration on it.  WarmProcesses built for different
-    #: hashes of one workload may share this dict and the decode cache.
-    recordings: dict = field(default_factory=dict)
 
     @classmethod
     def from_context(cls, context: "CampaignContext") -> "WarmProcess":
@@ -375,27 +376,16 @@ def run_one(
     resume path that additionally skips the pre-injection instructions
     lives in :func:`repro.exec.golden.run_batch_golden`.
     """
-    if warm is not None:
-        monitor = warm.fresh_checker(context)
-        decode_cache = warm.decode_cache
-    else:
-        monitor = load_process(
-            context.program,
-            iht_size=context.iht_size,
-            hash_name=context.hash_name,
-            policy_name=context.policy_name,
-            miss_penalty=context.miss_penalty,
-        ).monitor
-        decode_cache = None
+    warm = warm or WarmProcess.from_context(context)
     persistents, transients = split_perturbation(fault)
     probe = make_probe(persistents, transients)
     simulator = FuncSim(
         context.program,
-        monitor=monitor,
+        monitor=warm.fresh_checker(context),
         fetch_hook=probe,
         inputs=context.inputs,
         max_instructions=context.instruction_budget,
-        decode_cache=decode_cache,
+        decode_cache=warm.decode_cache,
         hang_detector=context.golden_instructions,
     )
     for part in persistents:

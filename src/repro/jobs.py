@@ -303,16 +303,12 @@ class CampaignKind(JobKind):
         from repro.exec.presets import get_campaign_preset
         from repro.exec.runner import CampaignRunner
         from repro.exec.spec import CampaignSpec
-        from repro.faults.campaign import FaultCampaign
 
         spec = CampaignSpec.from_json(payload["spec"])
-        workspace = lease(spec) if lease is not None else None
         runner = CampaignRunner(
             spec, workers=payload["workers"], chunk_size=payload["chunk_size"],
-            batch_size=payload.get("batch_size"), workspace=workspace,
-            campaign=(
-                FaultCampaign.from_context(workspace.context) if workspace else None
-            ),
+            batch_size=payload.get("batch_size"),
+            workspace=lease(spec) if lease is not None else None,
         )
         seed = payload["seed"]
         if payload.get("preset"):

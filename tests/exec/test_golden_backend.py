@@ -19,6 +19,7 @@ from repro.attacks import AttackCorpus
 from repro.attacks.generators import ATTACK_CLASSES, PERSISTENT_CLASSES
 from repro.errors import ConfigurationError
 from repro.exec import CampaignRunner, CampaignSpec, build_golden_store, run_batch_golden
+from repro.exec.golden import pristine_recording
 from repro.faults.campaign import FaultCampaign, Outcome, build_context, run_one
 from repro.faults.models import BitFlipFault, TransientFetchFault
 
@@ -336,7 +337,7 @@ class TestGoldenStoreInternals:
     def test_trace_matches_context_executed_set(self, sha_store):
         # The pristine recording's fetch stream covers exactly the
         # addresses the context's golden block trace executed.
-        [pristine] = sha_store.warm.recordings.values()
+        pristine = pristine_recording(sha_store.context)
         fetched = {pristine.ops[op][0] for op in pristine.stream}
         assert tuple(sorted(fetched)) == sha_store.context.executed_addresses
         assert len(pristine.stream) == sha_store.golden_instructions

@@ -3,9 +3,10 @@
 The CIC only observes the fetch stream, so a pristine run executes
 identically under every monitor configuration; the monitor changes only
 timing.  :func:`repro.exec.golden.build_golden_store` therefore records
-the golden run once per program and inputs and overlays every further
-configuration on it.  These tests pin an overlaid store equal, checkpoint
-for checkpoint, to a monitored recording of the same configuration —
+the golden run once per program and inputs in a process and overlays
+every further configuration on it.  These tests pin an overlaid store
+equal, checkpoint for checkpoint, to a monitored recording of the same
+configuration —
 architected state, scoreboard timing registers, CIC registers, IHT rows,
 handler counters and policy state — and the DSE points it feeds
 independent of the order configurations are measured in.
@@ -13,6 +14,7 @@ independent of the order configurations are measured in.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import replace
 
 import pytest
@@ -21,7 +23,8 @@ from repro.asm.assembler import assemble
 from repro.dse.engine import DseWorkspace, evaluate_point
 from repro.dse.space import ConfigSpace
 from repro.exec import CampaignSpec, build_golden_store, run_batch_golden
-from repro.exec.golden import record_store
+from repro.exec import golden
+from repro.exec.golden import pristine_recording, record_store
 from repro.faults.campaign import (
     FaultCampaign,
     WarmProcess,
@@ -29,6 +32,7 @@ from repro.faults.campaign import (
     run_one,
 )
 from repro.faults.models import BitFlipFault
+from repro.obs import core as obs
 from repro.pipeline.funcsim import FuncSim
 
 #: (hash, IHT size, policy, miss penalty): every axis moves at least once.
@@ -66,9 +70,7 @@ def assert_same_store(overlaid, recorded):
 def overlaid_stores(base, interval=None):
     """Record *base*'s store, then overlay each of :data:`CONFIGS` on
     the same recording; yield (context, overlaid store)."""
-    warm = WarmProcess.from_context(base)
-    build_golden_store(base, warm, interval)
-    [pristine] = warm.recordings.values()
+    pristine = pristine_recording(base, interval=interval)
     for hash_name, size, policy, penalty in CONFIGS:
         context = replace(
             base,
@@ -77,12 +79,10 @@ def overlaid_stores(base, interval=None):
             policy_name=policy,
             miss_penalty=penalty,
         )
-        config_warm = WarmProcess.from_context(context)
-        config_warm.recordings = warm.recordings
-        store = build_golden_store(context, config_warm, interval)
+        warm = WarmProcess.from_context(context)
+        store = build_golden_store(context, warm, interval)
         # Overlaid, not recorded again.
-        [recording] = config_warm.recordings.values()
-        assert recording is pristine
+        assert pristine_recording(context, interval=interval) is pristine
         yield context, store
 
 
@@ -165,18 +165,19 @@ class TestDseSharing:
             for index, config in configs
         }
 
-    def test_measure_order_changes_no_point(self, space):
+    def test_measure_order_changes_no_point(self, space, monkeypatch):
+        monkeypatch.setattr(golden, "_RECORDINGS", OrderedDict())
         configs = list(enumerate(space.points()))
         forward = DseWorkspace(space, seed=3)
         backward = DseWorkspace(space, seed=3)
-        points = self.evaluate(forward, configs)
-        assert self.evaluate(backward, configs[::-1]) == points
-        # One recording per workload and workspace, however many points.
-        for workspace in (forward, backward):
-            for workload in space.workloads:
-                _decode, recordings = workspace._warm_caches[workload]
-                assert len(recordings) == 1
-        # A cold workspace per point records every store: same points.
+        with obs.scoped(True):
+            obs.local().drain()
+            points = self.evaluate(forward, configs)
+            assert self.evaluate(backward, configs[::-1]) == points
+            recorded = obs.local().drain()["counters"]["golden.stores_recorded"]
+        # One recording per workload in the process, however many points.
+        assert recorded == len(space.workloads)
+        # A cold workspace per point: same points.
         for index, config in configs[::5]:
             cold = DseWorkspace(space, seed=3)
             assert self.evaluate(cold, [(index, config)])[index] == points[index]

@@ -7,13 +7,18 @@ check what the next session sees: a resumed results file ends
 byte-identical to the uninterrupted one, and a cut event log or journal
 reads back exactly the entries whose lines survived the cut whole —
 only a line's ``\\n`` may be missing — and, reopened, those entries plus
-the one appended.
+the one appended.  A write can also fail outright: for a DSE sweep and
+a multi-file attack grid, the N-th append raises, for every N, and the
+resumed files end byte-identical to the uninterrupted ones.
 """
 
 from contextlib import closing
 
 import pytest
 
+from repro.dse.engine import DseSweep
+from repro.dse.presets import get_preset
+from repro.eval.attack_coverage import run_attack_coverage
 from repro.exec import CampaignRunner, CampaignSpec
 from repro.exec.harness import HarnessRunner
 from repro.obs import core as obs
@@ -65,6 +70,71 @@ class TestResultsFile:
             out.write_bytes(whole[:cut])
             assert runner.run(faults, seed=42, out=out, resume=True).complete
             assert out.read_bytes() == whole, f"cut at byte {cut}"
+
+
+def failing_write(monkeypatch, fail_at: int = 0) -> list[int]:
+    """Make the *fail_at*-th ``AppendLog._write`` of any log raise instead
+    of writing (0: none does); returns the running count of writes."""
+    original = AppendLog._write
+    calls = [0]
+
+    def write(self, data: bytes) -> None:
+        calls[0] += 1
+        if calls[0] == fail_at:
+            raise OSError(f"write {fail_at} failed")
+        original(self, data)
+
+    monkeypatch.setattr(AppendLog, "_write", write)
+    return calls
+
+
+def assert_resumes_after_every_failed_write(monkeypatch, run, reference, outs):
+    """Run *run(out, resume)* with its N-th write failing, for every N the
+    uninterrupted run makes, then resume it: every file in *outs(out)*
+    ends byte-identical to the reference's."""
+    with monkeypatch.context() as patch:
+        writes = failing_write(patch)
+        run(reference, False)
+    expected = [path.read_bytes() for path in outs(reference)]
+    assert writes[0] > len(expected)  # each file: its header and a shard
+    for fail_at in range(1, writes[0] + 1):
+        out = reference.with_name(f"failed-{fail_at}.jsonl")
+        with monkeypatch.context() as patch:
+            failing_write(patch, fail_at)
+            with pytest.raises(OSError, match=f"write {fail_at} failed"):
+                run(out, False)
+        run(out, True)
+        assert [path.read_bytes() for path in outs(out)] == expected, (
+            f"write {fail_at} failed"
+        )
+
+
+class TestFailedWrites:
+    def test_dse_sweep(self, tmp_path, monkeypatch):
+        space = get_preset("smoke")
+
+        def run(out, resume):
+            DseSweep(space, seed=42, workers=1).run(out=out, resume=resume)
+
+        assert_resumes_after_every_failed_write(
+            monkeypatch, run, tmp_path / "sweep.jsonl", lambda out: [out]
+        )
+
+    def test_attack_grid_with_a_file_per_cell(self, tmp_path, monkeypatch):
+        cells = [("xor", "lru_half"), ("crc32", "lru_half")]
+
+        def run(out, resume):
+            run_attack_coverage(
+                "sha", "tiny", per_class=2, hash_names=("xor", "crc32"),
+                chunk_size=4, out=out, resume=resume, backend="golden",
+            )
+
+        def outs(out):
+            return [out.with_suffix(f".{h}.{p}.jsonl") for h, p in cells]
+
+        assert_resumes_after_every_failed_write(
+            monkeypatch, run, tmp_path / "attack.jsonl", outs
+        )
 
 
 def event_log(path) -> None:
