@@ -56,16 +56,33 @@ scaling-smoke:  ## scaling invariance tier + 2-worker micro-scaling check
 # harness-smoke exercises the one execution harness through BOTH of its
 # clients: a campaign and a DSE sweep are each killed after their first
 # shard(s) (--stop-after-shards) and then resumed to completion from the
-# JSONL commit markers, on the golden backend with 2 workers.
+# JSONL commit markers, on the golden backend with 2 workers.  The
+# chunks leave several shards to resume, so each resumed run forks a
+# pool, and its metrics must show the pool built, each program recorded
+# once (one per workload for the sweep) and no recording in any
+# worker's shard telemetry: the workers inherit the parent's workspace.
+harness_gate = $(PYTHON) -c "import json, sys; \
+	metrics = json.load(open('$(1)')); \
+	counters = metrics['telemetry']['counters']; \
+	expected = len(metrics['manifest'].get('workloads') or [None]); \
+	built = counters.get('pool.build', 0); \
+	recorded = counters.get('golden.stores_recorded', 0); \
+	in_workers = sum((shard.get('telemetry') or {}).get('counters', {}).get('golden.stores_recorded', 0) for shard in metrics['shards']); \
+	print(f'harness-smoke: {built} pool builds, {recorded} recordings of {expected} programs, {in_workers} in workers'); \
+	sys.exit(0 if built >= 1 and recorded == expected and in_workers == 0 else 1)"
+
 harness-smoke:  ## kill -> resume on both harness clients (campaign + DSE)
 	$(PYTHON) -m repro campaign sha --preset smoke --workers 2 --seed 42 \
-	    --out results/harness_smoke_campaign.jsonl --stop-after-shards 1
+	    --chunk 8 --out results/harness_smoke_campaign.jsonl \
+	    --stop-after-shards 1
 	$(PYTHON) -m repro campaign sha --preset smoke --workers 2 --seed 42 \
-	    --out results/harness_smoke_campaign.jsonl --resume
+	    --chunk 8 --out results/harness_smoke_campaign.jsonl --resume
+	$(call harness_gate,results/harness_smoke_campaign.metrics.json)
 	$(PYTHON) -m repro dse sweep --preset smoke --workers 2 --seed 42 \
-	    --out results/harness_smoke_dse.jsonl --stop-after-shards 1
+	    --chunk 2 --out results/harness_smoke_dse.jsonl --stop-after-shards 1
 	$(PYTHON) -m repro dse sweep --preset smoke --workers 2 --seed 42 \
-	    --out results/harness_smoke_dse.jsonl --resume
+	    --chunk 2 --out results/harness_smoke_dse.jsonl --resume
+	$(call harness_gate,results/harness_smoke_dse.metrics.json)
 
 # The first sweep's counters show one recording per workload in the whole
 # process tree (the parent records it to derive the context, the forked
@@ -147,7 +164,7 @@ trace-smoke:  ## background campaign -> live follow -> trace export -> self-diff
 # service-smoke is the CI face of the repro.service tier, driven
 # entirely through subprocesses: a `repro serve` instance takes two
 # overlapping campaign submissions from separate tenants (the second
-# must lease the first's published checkpoint store — cache hit
+# must lease the first's cached checkpoint store — cache hit
 # asserted from `stats`), is killed with SIGKILL mid-job, and a
 # restarted server over the same state dir resumes both jobs from the
 # journal to results byte-identical to an uninterrupted serial

@@ -8,15 +8,23 @@ corpus — on the golden backend, and pins:
   non-dominated points over area vs detection latency vs miss rate);
 * the frontier is *stable*: a re-sweep under the same seed with a
   different worker count reproduces byte-identical point records;
+* a 4-worker sweep's workers run on the parent's workspace: the parent
+  records each workload once and no worker records one;
 * the golden backend beats the full-replay backend on the detection
   objectives (the whole reason the sweep is affordable).
 
 Throughput tables land in ``results/`` next to the other paper artifacts.
 """
 
+import json
+import pathlib
 import time
+from collections import OrderedDict
 
 from repro.dse import ConfigSpace, DseSweep, get_preset
+from repro.exec import golden
+from repro.exec.pool import shutdown_pools
+from repro.obs.metrics import metrics_path
 
 SEED = 42
 
@@ -64,13 +72,12 @@ def test_dse_paper_sweep(save_result, record_bench):
     assert min(rates) < max(rates)
 
 
-def test_dse_checkpoint_store_sharing(record_bench):
-    """Checkpoint-store sharing: the parent records the per-workload
-    golden runs and adversary corpora once and ships them to the pool
-    through shared memory, instead of every worker re-deriving them in
-    its initializer.  Records must be identical either way; the saved
-    per-worker warm-up is recorded (and sharing must not cost more than
-    a small constant, even on loaded CI machines)."""
+def test_dse_workers_inherit_the_recordings(record_bench, tmp_path, monkeypatch):
+    """A 4-worker sweep runs on the parent's workspace: its points equal
+    a 1-worker sweep's, point for point, and its metrics show each
+    workload recorded once, by the parent, and no recording in any
+    worker's shard telemetry — the forked workers inherit the
+    recordings, contexts and adversary corpora."""
     space = ConfigSpace(
         hash_names=("xor", "crc32"),
         iht_sizes=(4, 8, 16),
@@ -78,26 +85,37 @@ def test_dse_checkpoint_store_sharing(record_bench):
         scale="tiny",
         per_class=4,
     )
-    timings = {}
-    points = {}
-    for share in (True, False):
-        start = time.perf_counter()
-        result = DseSweep(space, seed=SEED, workers=4, share=share).run()
-        timings[share] = time.perf_counter() - start
-        assert result.complete
-        points[share] = [point.to_json() for point in result.ordered()]
-    assert points[True] == points[False]
-    warmup_cut = timings[False] - timings[True]
-    record_bench(
-        configurations=len(points[True]),
-        workers=4,
-        seconds_shared=round(timings[True], 4),
-        seconds_unshared=round(timings[False], 4),
-        warmup_seconds_cut=round(warmup_cut, 4),
+    # A fresh recording memo and a fresh pool, so this sweep records.
+    monkeypatch.setattr(golden, "_RECORDINGS", OrderedDict())
+    shutdown_pools()
+    out = tmp_path / "sweep.jsonl"
+    start = time.perf_counter()
+    pooled = DseSweep(space, seed=SEED, workers=4, chunk_size=1).run(out=out)
+    seconds = time.perf_counter() - start
+    assert pooled.complete
+    serial = DseSweep(space, seed=SEED, chunk_size=1).run()
+    assert [point.to_json() for point in pooled.ordered()] == [
+        point.to_json() for point in serial.ordered()
+    ]
+
+    metrics = json.loads(pathlib.Path(metrics_path(out)).read_text())
+    recorded = metrics["telemetry"]["counters"].get("golden.stores_recorded", 0)
+    in_workers = sum(
+        (shard.get("telemetry") or {})
+        .get("counters", {})
+        .get("golden.stores_recorded", 0)
+        for shard in metrics["shards"]
     )
-    # Sharing replaces per-worker re-derivation with one shm unpickle;
-    # it must never make the sweep meaningfully slower.
-    assert timings[True] <= timings[False] * 1.25, timings
+    record_bench(
+        configurations=pooled.total,
+        workers=4,
+        worker_processes=len({shard["worker"] for shard in metrics["shards"]}),
+        recordings=recorded,
+        recordings_in_workers=in_workers,
+        seconds=round(seconds, 4),
+    )
+    assert recorded == len(space.workloads)
+    assert in_workers == 0
 
 
 def test_dse_golden_backend_speedup(record_bench):

@@ -24,7 +24,7 @@ import time
 import pytest
 
 from repro.obs.schema import validate_bench
-from repro.service.client import ServiceClient
+from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import ReproService, ServiceConfig
 
 SUBMITTERS = 4
@@ -64,13 +64,18 @@ class ServerThread:
         )
 
     def __enter__(self):
+        # Ready once it answers a ping: the socket file appears at bind,
+        # a moment before the server listens.
         self.thread.start()
         deadline = time.monotonic() + 15
-        while not os.path.exists(self.config.resolved_socket()):
-            if time.monotonic() > deadline:  # pragma: no cover
-                raise RuntimeError("server socket never appeared")
-            time.sleep(0.01)
-        return self
+        while True:
+            try:
+                self.client("probe").ping()
+                return self
+            except (ServiceError, OSError):
+                if time.monotonic() > deadline:  # pragma: no cover
+                    raise RuntimeError("server never answered ping")
+                time.sleep(0.01)
 
     def client(self, name):
         return ServiceClient(

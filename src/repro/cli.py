@@ -363,11 +363,9 @@ def cmd_jobs(args: argparse.Namespace) -> int:
                  or "none"))
         print(f"checkpoint cache: {cache['hits']} hits, "
               f"{cache['misses']} misses, {cache['evictions']} evictions, "
-              f"{cache['entries']}/{cache['capacity']} stores, "
-              f"{cache['bytes']} bytes")
+              f"{cache['entries']}/{cache['capacity']} stores")
         for store in cache["stores"]:
-            print(f"  {store['key']}  {store['label']:24s} "
-                  f"{store['hits']} hits, {store['bytes']} bytes")
+            print(f"  {store['key']}  {store['label']:24s} {store['hits']} hits")
         return 0
     jobs = client.jobs()
     if not jobs:

@@ -35,9 +35,9 @@ so the point records — and any aggregate ordered by point index, such as
 the frontier — are identical for any worker count and either functional
 backend (shards *commit* in completion order, so only the line order of
 a multi-worker file varies).  With ``workers > 1`` the parent records
-each workload once, ships the contexts and adversary corpora derived
-from it to the pool through shared memory (:mod:`repro.exec.sharing`),
-and the forked workers inherit the recordings themselves.
+each workload once and derives its context and adversary corpus before
+the pool forks; the workers inherit the recordings and the workspace
+holding the rest (:mod:`repro.exec.pool`).
 """
 
 from __future__ import annotations
@@ -135,19 +135,12 @@ class DseWorkspace:
     cycles and every measure's checkpoint store.
     """
 
-    def __init__(
-        self,
-        space: ConfigSpace,
-        seed: int,
-        backend: str = "golden",
-        shared: dict | None = None,
-    ):
+    def __init__(self, space: ConfigSpace, seed: int, backend: str = "golden"):
         self.space = space
         self.seed = seed
         self.backend: Backend = get_backend(backend)
-        shared = shared or {}
-        self._contexts = MeasureCache(shared.get("contexts"))
-        self._adversaries = MeasureCache(shared.get("adversaries"))
+        self._contexts = MeasureCache()
+        self._adversaries = MeasureCache()
         self._measures = MeasureCache()
         self._synthesis = MeasureCache()
         self._baseline_synthesis = synthesize(None)
@@ -199,17 +192,14 @@ class DseWorkspace:
     def baseline_synthesis(self) -> SynthesisReport:
         return self._baseline_synthesis
 
-    def shared_payload(self) -> dict:
-        """The once-recorded inputs worth shipping to pool workers:
-        per-workload golden contexts and adversary corpora (measures stay
-        per-worker — they are what the sweep is about to compute)."""
+    def derive_inputs(self) -> "DseWorkspace":
+        """Derive every workload's context and adversary corpus now, so
+        the pool workers that inherit this workspace find them (measures
+        stay per worker: they are what the sweep is about to compute)."""
         for workload in self.space.workloads:
             self.base_context(workload)
             self.adversary(workload)
-        return {
-            "contexts": self._contexts.snapshot(),
-            "adversaries": self._adversaries.snapshot(),
-        }
+        return self
 
     # -- per-point measurement -------------------------------------------
 
@@ -358,11 +348,8 @@ class DseWorkspaceFactory(WorkspaceFactory):
     record_type = "point"
     kind = "DSE sweep"
 
-    def build(self, shared=None) -> DseWorkspace:
-        return DseWorkspace(self.space, self.seed, self.backend, shared=shared)
-
-    def shared_payload(self, workspace: DseWorkspace) -> dict:
-        return workspace.shared_payload()
+    def build(self) -> DseWorkspace:
+        return DseWorkspace(self.space, self.seed, self.backend)
 
     def run_item(
         self, workspace: DseWorkspace, index: int, shard: int, item
@@ -505,7 +492,6 @@ class DseSweep:
         workers: int = 1,
         chunk_size: int = DEFAULT_DSE_CHUNK,
         backend: str = "golden",
-        share: bool = True,
     ):
         validate_plan(workers=workers, chunk_size=chunk_size)
         get_backend(backend)  # raises on unknown names
@@ -514,16 +500,16 @@ class DseSweep:
         self.workers = workers
         self.chunk_size = chunk_size
         self.backend = backend
-        self.share = share
         self._factory = DseWorkspaceFactory(space, seed, backend)
         self._workspace: DseWorkspace | None = None
 
     @property
     def workspace(self) -> DseWorkspace:
-        """Parent-side workspace (lazy): the serial execution path and
-        the source of the pool's shared payload."""
+        """Parent-side workspace (lazy), inputs derived: the serial
+        execution path, and what every worker of a pool built for this
+        sweep inherits."""
         if self._workspace is None:
-            self._workspace = self._factory.build()
+            self._workspace = self._factory.build().derive_inputs()
         return self._workspace
 
     def _job(self) -> Job:
@@ -561,7 +547,6 @@ class DseSweep:
             job,
             workers=self.workers,
             workspace_supplier=lambda: self.workspace,
-            share=self.share,
         )
         result = harness.run(
             out=out, resume=resume, stop_after_shards=stop_after_shards

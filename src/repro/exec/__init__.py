@@ -21,13 +21,13 @@ reproducibility:
   fork planner both golden backends share, and the functional batch
   kernel; :mod:`repro.exec.pipeline_golden` holds the cycle-level one;
 * :mod:`repro.exec.spec` — :class:`CampaignSpec`, the picklable campaign
-  description every worker re-derives its simulator state from; its
-  ``backend`` field names a registered backend;
+  description a workspace is derived from; its ``backend`` field names a
+  registered backend;
 * :mod:`repro.exec.runner` — :class:`CampaignRunner`, the campaign
-  client of the harness; each worker holds one warm
+  client of the harness, and its warm
   :class:`~repro.exec.runner.Workspace`;
-* :mod:`repro.exec.sharing` — shared-memory shipping of once-recorded
-  checkpoint stores to pool workers;
+* :mod:`repro.exec.pool` — persistent warm worker pools, whose forked
+  workers inherit the parent's workspace;
 * :mod:`repro.exec.presets` — named campaign presets
   (e.g. ``exhaustive-single-bit``);
 * :mod:`repro.exec.records` — :class:`FaultRecord` and the JSONL schema.

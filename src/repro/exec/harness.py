@@ -13,8 +13,8 @@ This module is that machinery, written **once**:
   the seed, the JSONL schema version and header payload (the client's
   identity: spec/space + fingerprint), and the shard plan (chunk size);
 * :class:`WorkspaceFactory` — how to run it: a picklable recipe that
-  builds one warm workspace per worker, executes one item against it,
-  and encodes/decodes the client's record type for the wire;
+  builds a warm workspace, executes one item against it, and
+  encodes/decodes the client's record type for the wire;
 * :class:`HarnessRunner` — the engine: serial and pooled execution,
   JSONL streaming, ``shard-done`` commit markers, kill/resume, and the
   worker-count-invariance guarantees;
@@ -43,14 +43,14 @@ Guarantees (inherited by every client)
       that does not begin with this job's header: fingerprint, seed,
       total, chunk size, and schema version must all agree.
 
-Checkpoint-store sharing
-    With ``workers > 1`` the parent offers the factory's
-    :meth:`~WorkspaceFactory.shared_payload` to the pool through
-    :mod:`multiprocessing.shared_memory` (:mod:`repro.exec.sharing`):
-    golden runs and checkpoint stores are recorded once and attached by
-    every worker instead of re-recorded per worker.  Results are
-    identical either way; ``share=False`` opts a runner out (the
-    benchmarks measure both paths).
+One workspace per process tree
+    The parent's workspace is the only way recorded state reaches the
+    pool: a new pool's initializer receives that object, and the
+    ``fork`` start method hands it to every worker by inheritance, so
+    golden runs, contexts and checkpoint stores are recorded once in
+    the parent and neither pickled nor rebuilt per worker
+    (:mod:`repro.exec.pool`).  The parent builds it only when a shard
+    runs in the parent or a pool is built.
 
 Telemetry
     Every run is observed through :mod:`repro.obs`: workers accumulate
@@ -82,7 +82,6 @@ from repro.obs.metrics import (
     metrics_path,
     write_metrics,
 )
-from repro.exec.sharing import SharedPayload
 from repro.exec.spec import shard_seed
 from repro.utils.jsonl import AppendLog, read_complete
 
@@ -106,11 +105,11 @@ def validate_plan(workers: int, chunk_size: int) -> None:
 
 
 class WorkspaceFactory:
-    """Picklable recipe for per-worker state and per-item execution.
+    """Picklable recipe for warm state and per-item execution.
 
-    Instances cross process boundaries (pool initializers receive them),
-    so subclasses must stay plain data — everything heavyweight is built
-    inside :meth:`build`, once per worker.
+    Instances cross process boundaries (pool initializers receive them)
+    and key the warm pools, so subclasses must stay plain data —
+    everything heavyweight is built inside :meth:`build`.
     """
 
     #: JSONL line type of this client's records (``"record"``/``"point"``).
@@ -118,22 +117,10 @@ class WorkspaceFactory:
     #: Human label for diagnostics ("campaign results", "DSE sweep").
     kind: str = "results"
 
-    def build(self, shared=None):
-        """Materialize one worker's warm workspace.
-
-        *shared* is the attached :meth:`shared_payload` value when the
-        parent published one, else ``None``; a factory that supports
-        sharing should seed its workspace from it instead of re-deriving.
-        """
+    def build(self):
+        """Materialize one warm workspace: the parent's, unless its client
+        supplies one, and a pool worker's when none was handed over."""
         raise NotImplementedError
-
-    def shared_payload(self, workspace):
-        """The picklable once-recorded state to ship to pool workers.
-
-        Called on the parent's workspace before the pool starts; return
-        ``None`` (the default) to disable sharing for this factory.
-        """
-        return None
 
     def run_item(self, workspace, index: int, shard: int, item):
         """Execute one item; return the client's record (with
@@ -280,16 +267,13 @@ class MeasureCache:
     hoisted into the harness so every client's workspace shares one
     implementation: measures keyed by whatever subset of an item's
     configuration they depend on are computed on first request and
-    replayed for every later item that agrees on the key.  A cache can
-    be seeded from a shared payload (:meth:`WorkspaceFactory.
-    shared_payload`), so once-recorded parent state short-circuits the
-    first request too.
+    replayed for every later item that agrees on the key.
     """
 
     __slots__ = ("_data",)
 
-    def __init__(self, seed: dict | None = None):
-        self._data: dict = dict(seed) if seed else {}
+    def __init__(self):
+        self._data: dict = {}
 
     def get(self, key, build: Callable):
         """The cached value for *key*, computing it via *build()* once."""
@@ -309,10 +293,6 @@ class MeasureCache:
     def __len__(self) -> int:
         return len(self._data)
 
-    def snapshot(self) -> dict:
-        """A shallow copy suitable for seeding another cache."""
-        return dict(self._data)
-
 
 # ----------------------------------------------------------------------
 # Pool workers (module-level so they pickle under any start method)
@@ -322,18 +302,16 @@ _WORKER_FACTORY: WorkspaceFactory | None = None
 _WORKER_WORKSPACE = None
 
 
-def _pool_init(factory: WorkspaceFactory, ticket: SharedPayload | None) -> None:
-    """Pool initializer: materialize this worker's workspace once —
-    from the parent's shared payload when one was published, otherwise
-    from scratch out of the picklable factory."""
+def _pool_init(factory: WorkspaceFactory, workspace) -> None:
+    """Pool initializer: adopt the parent's *workspace* (inherited under
+    ``fork``), or build one from the factory when none was supplied."""
     global _WORKER_FACTORY, _WORKER_WORKSPACE
     # Under fork the worker inherits the parent's accumulated telemetry;
     # clear it so the first shard's drained delta holds only what this
     # worker measured itself (parent-side counts are merged parent-side).
     obs.local().clear()
     _WORKER_FACTORY = factory
-    shared = ticket.attach() if ticket is not None else None
-    _WORKER_WORKSPACE = factory.build(shared=shared)
+    _WORKER_WORKSPACE = factory.build() if workspace is None else workspace
 
 
 def _run_shard(
@@ -387,12 +365,10 @@ class HarnessRunner:
         job: Job,
         workers: int = 1,
         workspace_supplier: Callable | None = None,
-        share: bool = True,
     ):
         validate_plan(workers=workers, chunk_size=job.chunk_size)
         self.job = job
         self.workers = workers
-        self.share = share
         # An optional supplier lets the client hand over a parent-side
         # workspace it can build more cheaply than the factory (e.g.
         # around a prebuilt campaign context) — still lazily, so runs
@@ -403,7 +379,7 @@ class HarnessRunner:
     @property
     def workspace(self):
         """Parent-side workspace (lazy): the serial execution path and
-        the source of the pool's shared payload."""
+        what every worker of a pool built for this run inherits."""
         if self._workspace is None:
             build = self._supplier or self.job.factory.build
             self._workspace = build()
@@ -507,8 +483,8 @@ class HarnessRunner:
         # Run-level telemetry is a dedicated instance: parent spans live
         # here, worker deltas merge in at shard commit, and the process-
         # local accumulator is drained around the run so client-side setup
-        # (contexts, corpora) and parent-side counters (pool reuse, shm
-        # publishes) are folded in without leaking across runs.  Pure
+        # (contexts, corpora) and parent-side counters (pool builds and
+        # reuse) are folded in without leaking across runs.  Pure
         # observation: the results artifact is byte-identical either way.
         collect = obs.enabled()
         telem = obs.Telemetry(enabled=collect)
@@ -614,9 +590,8 @@ class HarnessRunner:
             try:
                 with telem.span("execute"):
                     if self.workers == 1 or len(pending) <= 1:
-                        workspace = self.workspace
                         for task in pending:
-                            commit(*_run_shard(job.factory, workspace, task))
+                            commit(*_run_shard(job.factory, self.workspace, task))
                     else:
                         self._run_pool(pending, commit)
                 if events is not None:
@@ -735,7 +710,6 @@ class HarnessRunner:
             "version": job.version,
             "fingerprint": job.payload.get("fingerprint"),
             "workers": self.workers,
-            "share": self.share,
             "resumed": bool(resumed),
             "out": os.path.basename(out_path),
             **job.factory.describe(),
@@ -753,11 +727,6 @@ class HarnessRunner:
         # once and reused across shards, runs, and campaigns, so it is
         # sized for the job family — the full worker count — not for
         # the pending remainder of one resume.
-        pool = acquire(
-            self.job.factory,
-            self.workers,
-            self.share,
-            lambda: self.job.factory.shared_payload(self.workspace),
-        )
+        pool = acquire(self.job.factory, self.workers, lambda: self.workspace)
         for shard_id, shard_records, meta in pool.imap_shards(pending):
             commit(shard_id, shard_records, meta)

@@ -1,26 +1,25 @@
 """Persistent warm worker pools: spin up once, reuse everywhere.
 
 Before this module, every :meth:`HarnessRunner.run` call that went
-parallel built a fresh :class:`multiprocessing.Pool`, re-published the
-parent's shared payload, had every worker re-attach and re-materialize
-its warm workspace, and tore the whole thing down when the run finished.
-For the checkpointed backends that warm state *is* the campaign's fixed
-cost — golden run, FHT, decode cache, checkpoint store — so benchmarks
-that ran one campaign per cell measured pool spin-up, not execution, and
-adding workers made throughput **fall**
+parallel built a fresh :class:`multiprocessing.Pool`, had every worker
+re-materialize its warm workspace, and tore the whole thing down when
+the run finished.  For the checkpointed backends that warm state *is*
+the campaign's fixed cost — golden run, FHT, decode cache, checkpoint
+store — so benchmarks that ran one campaign per cell measured pool
+spin-up, not execution, and adding workers made throughput **fall**
 (``results/BENCH_bench_campaign_scaling.json`` before this change:
 golden 1071 → 671 faults/s from 1 to 4 workers).
 
-A :class:`WarmPool` is created once per ``(factory, workers, share)``
-identity and kept for the life of the process:
+A :class:`WarmPool` is created once per ``(factory, workers)`` identity
+and kept for the life of the process:
 
-* workers materialize their workspace exactly once, in the pool
-  initializer — from the parent's shared-memory payload when one is
-  published (:mod:`repro.exec.sharing`), else from the picklable factory;
+* the pool initializer receives the parent's workspace itself
+  (:func:`publish`), and the ``fork`` start method hands it to every
+  worker by inheritance — nothing is pickled, rebuilt or re-recorded;
+  where only ``spawn`` exists, multiprocessing pickles the argument;
 * every later harness run whose job carries an *equal* factory (same
-  pickle) reuses the live pool: no fork/spawn, no re-publish, no
-  re-attach, no golden-run re-recording — shards go straight to warm
-  workers;
+  pickle) reuses the live pool: no fork/spawn and no parent workspace —
+  shards go straight to warm workers;
 * campaigns and DSE sweeps share the mechanism because identity is the
   factory itself, not the client type.
 
@@ -45,7 +44,6 @@ import pickle
 from typing import Callable
 
 from repro.obs import core as obs
-from repro.exec.sharing import SharedPayload, publish, release
 
 #: Live pools kept before least-recently-used eviction kicks in.  Four
 #: pools of at most a few workers each bounds stray processes while
@@ -53,8 +51,8 @@ from repro.exec.sharing import SharedPayload, publish, release
 MAX_POOLS = 4
 
 
-def _factory_key(factory, workers: int, share: bool) -> tuple:
-    """Pool identity: the factory's pickled value plus the pool shape.
+def _factory_key(factory, workers: int) -> tuple:
+    """Pool identity: the factory's pickled value plus the pool size.
 
     Pickle equality is conservative — a spurious mismatch only costs a
     fresh pool, never a wrong reuse.
@@ -63,14 +61,19 @@ def _factory_key(factory, workers: int, share: bool) -> tuple:
         type(factory).__qualname__,
         pickle.dumps(factory, protocol=pickle.HIGHEST_PROTOCOL),
         workers,
-        share,
     )
+
+
+def publish(workspace):
+    """Hand the parent's *workspace* to a new pool's initializer: under
+    ``fork`` every worker inherits this very object."""
+    return workspace
 
 
 class WarmPool:
     """One persistent pool of workers warmed for one factory."""
 
-    def __init__(self, key: tuple, factory, workers: int, ticket: SharedPayload | None):
+    def __init__(self, key: tuple, factory, workers: int, workspace):
         import multiprocessing
 
         from repro.exec.harness import _pool_init
@@ -86,11 +89,10 @@ class WarmPool:
         #: Harness runs served (1 = just built): tests and benchmarks
         #: read this to assert a pool was actually reused.
         self.runs = 0
-        self._ticket = ticket
         self._pool = context.Pool(
             processes=workers,
             initializer=_pool_init,
-            initargs=(factory, ticket),
+            initargs=(factory, workspace),
         )
 
     def imap_shards(self, tasks):
@@ -101,11 +103,9 @@ class WarmPool:
         return self._pool.imap_unordered(_pool_shard, tasks)
 
     def close(self) -> None:
-        """Tear the pool down and release its shared payload."""
+        """Tear the pool down."""
         self._pool.terminate()
         self._pool.join()
-        release(self._ticket)
-        self._ticket = None
 
 
 #: Insertion-ordered registry; order doubles as the LRU list.
@@ -113,27 +113,19 @@ _POOLS: dict[tuple, WarmPool] = {}
 
 
 def acquire(
-    factory,
-    workers: int,
-    share: bool,
-    payload_supplier: Callable[[], object | None],
+    factory, workers: int, workspace_supplier: Callable[[], object]
 ) -> WarmPool:
     """The warm pool for *factory*, creating (and caching) it on first use.
 
-    *payload_supplier* is only invoked when a pool is actually built and
-    ``share`` is set — reusing a pool never touches the parent workspace,
-    which is what makes repeat campaigns skip the recording entirely.
+    *workspace_supplier* is only invoked when a pool is actually built —
+    reusing a pool never touches the parent workspace, which is what
+    makes repeat campaigns skip the recording entirely.
     """
-    key = _factory_key(factory, workers, share)
+    key = _factory_key(factory, workers)
     pool = _POOLS.pop(key, None)
     if pool is None:
         obs.count("pool.build")
-        ticket = None
-        if share:
-            payload = payload_supplier()
-            if payload is not None:
-                ticket = publish(payload)
-        pool = WarmPool(key, factory, workers, ticket)
+        pool = WarmPool(key, factory, workers, publish(workspace_supplier()))
         while len(_POOLS) >= MAX_POOLS:
             obs.count("pool.evict")
             _POOLS.pop(next(iter(_POOLS))).close()

@@ -8,9 +8,8 @@ streaming, ``shard-done`` commit markers, kill/resume, and worker-count
 invariance live in :class:`~repro.exec.harness.HarnessRunner`; this
 module only contributes the campaign-shaped pieces:
 
-* :class:`CampaignWorkspaceFactory` — builds one :class:`Workspace` per
-  worker from the picklable :class:`~repro.exec.spec.CampaignSpec`
-  (simulators never cross process boundaries), executes each shard
+* :class:`CampaignWorkspaceFactory` — builds a :class:`Workspace` from
+  the picklable :class:`~repro.exec.spec.CampaignSpec`, executes each shard
   through the batch kernel of the spec's registered backend
   (:mod:`repro.exec.backends`: ``full`` replay, ``golden`` fork-at-fault,
   or cycle-measuring ``pipeline-golden``), and translates
@@ -26,9 +25,8 @@ pre-redesign fixtures).
 Determinism and resumability are the harness's guarantees — see
 :mod:`repro.exec.harness`.  The parent records the pristine program once,
 derives the campaign context from that recording, and builds its
-workspace (warm caches, checkpoint store) on it; with ``workers > 1`` it
-ships the workspace to the pool through shared memory instead of every
-worker re-recording it (:mod:`repro.exec.sharing`).
+workspace (warm caches, checkpoint store) on it; with ``workers > 1``
+every forked worker inherits that workspace (:mod:`repro.exec.pool`).
 """
 
 from __future__ import annotations
@@ -96,15 +94,16 @@ class CampaignResult:
 
 @dataclass(slots=True)
 class Workspace:
-    """Everything one worker holds warm across its injections.
+    """Everything a campaign holds warm across its injections.
 
-    Built once per process — by the harness's pool initializer, attached
-    from the parent's shared payload, or lazily by the serial path — and
-    reused for every shard that lands on the worker: the context (golden
-    reference), the :class:`WarmProcess` (built program, FHT, shared
-    decode cache), the spec's :class:`~repro.exec.backends.Backend`, and
-    the backend's prepared per-worker state (for the golden backends,
-    the checkpoint store).
+    Built once in the parent (or leased from the service's checkpoint
+    cache) and used by every shard, serial or on the pool workers that
+    inherit it: the context (golden reference), the :class:`WarmProcess`
+    (built program, FHT, shared decode cache), the spec's
+    :class:`~repro.exec.backends.Backend`, and the backend's prepared
+    state (for the golden backends, the checkpoint store).  Concurrent
+    runs may share one: kernels restore copies of its immutable
+    checkpoints and never write to it, bar the decode cache's memo.
     """
 
     context: CampaignContext
@@ -146,15 +145,8 @@ class CampaignWorkspaceFactory(WorkspaceFactory):
     record_type = "record"
     kind = "campaign results"
 
-    def build(self, shared=None) -> Workspace:
-        if shared is not None:
-            return shared
+    def build(self) -> Workspace:
         return Workspace.build(self.spec)
-
-    def shared_payload(self, workspace: Workspace) -> Workspace:
-        """Ship the whole recorded workspace: context, warm caches, and
-        the backend's prepared state (checkpoint stores included)."""
-        return workspace
 
     def run_items(
         self, workspace: Workspace, start: int, shard: int, items: list
@@ -201,14 +193,12 @@ class CampaignRunner:
         spec: CampaignSpec,
         workers: int = 1,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-        share: bool = True,
         batch_size: int | None = None,
         workspace: Workspace | None = None,
     ):
         self.spec = spec
         self.workers = workers
         self.chunk_size = chunk_size
-        self.share = share
         # Execution knob only — never recorded in artifacts: batch_size
         # sizes the batched-kernel calls (None = whole shard at once).
         self.batch_size = batch_size
@@ -228,8 +218,8 @@ class CampaignRunner:
 
     @property
     def workspace(self) -> Workspace:
-        """Parent-side workspace (lazy): the serial path and the source
-        of the pool's shared payload."""
+        """Parent-side workspace (lazy): the serial path, and what every
+        worker of a pool built for this runner inherits."""
         if self._workspace is None:
             self._workspace = Workspace.build(self.spec)
         return self._workspace
@@ -281,7 +271,6 @@ class CampaignRunner:
             job,
             workers=self.workers,
             workspace_supplier=lambda: self.workspace,
-            share=self.share,
         )
         result: HarnessResult = harness.run(
             out=out, resume=resume, stop_after_shards=stop_after_shards

@@ -91,7 +91,7 @@ class CampaignSpec:
             raise ConfigurationError(f"IHT size must be >= 1, got {self.iht_size}")
 
     # ------------------------------------------------------------------
-    # Derivation (runs identically in the parent and in every worker)
+    # Derivation (in the parent; pool workers inherit what it built)
     # ------------------------------------------------------------------
 
     @property

@@ -8,8 +8,8 @@ with telemetry on, off, or at any verbosity:
 
 ``manifest``
     Where and how the run executed: host, Python, effective cores, the
-    harness plan (workers / chunk size / seed / total / share /
-    resumed), the client kind, the job fingerprint, and
+    harness plan (workers / chunk size / seed / total / resumed), the
+    client kind, the job fingerprint, and
     whatever the workspace factory adds through
     :meth:`~repro.exec.harness.WorkspaceFactory.describe` (backend,
     batch plan, workload...).

@@ -145,7 +145,6 @@ METRICS_SCHEMA = {
                 "fingerprint": {"type": ["string", "null"]},
                 "backend": {"type": ["string", "null"]},
                 "batch_size": {"type": ["integer", "null"]},
-                "share": {"type": "boolean"},
                 "resumed": {"type": "boolean"},
                 "created": {"type": "string"},
                 "out": {"type": "string"},

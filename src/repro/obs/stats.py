@@ -91,8 +91,7 @@ def render_metrics(payload: dict, path: str | None = None) -> str:
     manifest = payload.get("manifest", {})
     plan = (
         f"workers={manifest.get('workers')} "
-        f"chunk_size={manifest.get('chunk_size')} "
-        f"share={manifest.get('share')}"
+        f"chunk_size={manifest.get('chunk_size')}"
     )
     lines.append(
         f"{manifest.get('kind', 'run')}: {manifest.get('total')} items, "

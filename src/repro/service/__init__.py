@@ -19,10 +19,10 @@ users" north star actually requires:
     The fair multi-tenant queue: per-client concurrency caps, integer
     priorities, FIFO tiebreak, cancellation.
 :mod:`repro.service.cache`
-    The content-addressed **checkpoint cache**: golden checkpoint
-    stores keyed by the campaign spec fingerprint — (workload, config,
-    scale) — published once through :mod:`repro.exec.sharing` and
-    attached by every overlapping tenant instead of re-recorded, with
+    The content-addressed **checkpoint cache**: campaign workspaces
+    (golden checkpoint stores) keyed by the campaign spec fingerprint —
+    (workload, config, scale) — recorded once and leased, as the same
+    object, to every overlapping tenant instead of re-recorded, with
     LRU eviction and hit/miss telemetry in :mod:`repro.obs`.
 :mod:`repro.service.server`
     The asyncio server: accepts jobs, schedules shard *steps* across

@@ -8,41 +8,37 @@ That makes it content-addressable: the spec's fingerprint (a sha256 over
 its canonical JSON) **is** the cache key, and two tenants whose jobs
 agree on it need exactly one recording between them.
 
-This cache is the service-tier layer over the two existing seams:
-
-* :mod:`repro.exec.sharing` — each cached workspace is pickled once
-  into a named shared-memory segment (:func:`~repro.exec.sharing.
-  publish`); a cache hit *attaches* and unpickles a private copy, so
-  concurrent jobs never share mutable simulator state, and the warm
-  bytes are shipped, not rebuilt.  Platforms without shared memory
-  degrade to inline pickled bytes, same as the harness.
-* :class:`~repro.exec.harness.MeasureCache` — the same keyed
-  compute-once/replay-forever discipline, hoisted from worker scope to
-  server scope and made eviction-aware.
+The cache keeps :class:`~repro.exec.runner.Workspace` objects and hands
+every lease of a fingerprint the same one.  Concurrent jobs may share
+it: its checkpoints are immutable values that every restore copies
+from, and the kernels write nothing in it but the decode cache's memo.
+A golden store already shares its checkpoints with the process's one
+recording of the program (:func:`~repro.exec.golden.
+pristine_recording`), so an entry adds little to what that recording
+holds.  It applies :class:`~repro.exec.harness.MeasureCache`'s keyed
+compute-once discipline at server scope, made eviction-aware.
 
 Concurrency: misses on the *same* key are deduplicated — the second
 tenant blocks on the first build's completion and then hits — while
 misses on different keys build in parallel.  Entries are evicted
-least-recently-used beyond ``capacity``, releasing their shared-memory
-segments.  Every lease counts ``service.cache.hit`` / ``.miss``
-telemetry (:mod:`repro.obs`), and :meth:`CheckpointCache.stats` exposes
-the same numbers to the ``stats`` protocol op, so a benchmark or smoke
-test can assert the sharing actually happened.
+least-recently-used beyond ``capacity``.  Every lease counts
+``service.cache.hit`` / ``.miss`` telemetry (:mod:`repro.obs`), and
+:meth:`CheckpointCache.stats` exposes the same numbers to the ``stats``
+protocol op, so a benchmark or smoke test can assert the reuse actually
+happened.
 
-Warm leases are behaviourally invisible: a workspace unpickled from the
-cache classifies every injection exactly as a freshly recorded one —
-the sharing layer's existing guarantee, re-pinned at this layer by
-``tests/service/test_cache.py``.
+Leases are behaviourally invisible: a cached workspace, run by several
+jobs at once, classifies every injection exactly as a freshly recorded
+one — pinned by ``tests/service/test_cache.py``.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.exec.runner import Workspace
-from repro.exec.sharing import SharedPayload, publish, release
 from repro.exec.spec import CampaignSpec
 from repro.obs import core as obs
 
@@ -52,28 +48,25 @@ DEFAULT_CAPACITY = 8
 
 @dataclass(slots=True)
 class CacheEntry:
-    """One cached workspace: the published ticket plus bookkeeping."""
+    """One cached workspace plus bookkeeping."""
 
     key: str
     label: str
-    ticket: SharedPayload
-    bytes: int
+    workspace: Workspace
     build_seconds: float
     hits: int = 0
-    created: float = field(default_factory=time.time)
 
     def to_json(self) -> dict:
         return {
             "key": self.key,
             "label": self.label,
-            "bytes": self.bytes,
             "build_seconds": round(self.build_seconds, 6),
             "hits": self.hits,
         }
 
 
 class CheckpointCache:
-    """LRU cache of published campaign workspaces, keyed by spec fingerprint."""
+    """LRU cache of campaign workspaces, keyed by spec fingerprint."""
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity < 1:
@@ -91,16 +84,12 @@ class CheckpointCache:
     # ------------------------------------------------------------------
 
     def lease(self, spec: CampaignSpec) -> Workspace:
-        """The warm workspace for *spec* — attached on a hit, recorded on a miss.
-
-        Every caller gets a **private** workspace object (the miss gets
-        the freshly built one, hits get shared-memory attach copies), so
-        leased workspaces are safe to run concurrently.
-        """
+        """The warm workspace for *spec*: cached on a hit, recorded on a
+        miss.  Every lease of one fingerprint returns the same object."""
         key = spec.fingerprint()
         entry = self._touch(key)
         if entry is not None:
-            return self._attach(entry)
+            return entry.workspace
         # Miss path: serialize builds per key so an overlapping tenant
         # arriving mid-recording waits for the first build and then hits.
         with self._lock:
@@ -108,18 +97,16 @@ class CheckpointCache:
         with gate:
             entry = self._touch(key)
             if entry is not None:
-                return self._attach(entry)
+                return entry.workspace
             self._misses += 1
             obs.count("service.cache.miss")
             started = time.perf_counter()
             with obs.span("service.cache.build"):
                 workspace = Workspace.build(spec)
-            ticket = publish(workspace)
             entry = CacheEntry(
                 key=key,
                 label=spec.label,
-                ticket=ticket,
-                bytes=ticket.size,
+                workspace=workspace,
                 build_seconds=time.perf_counter() - started,
             )
             with self._lock:
@@ -140,17 +127,10 @@ class CheckpointCache:
         obs.count("service.cache.hit")
         return entry
 
-    def _attach(self, entry: CacheEntry) -> Workspace:
-        """A private copy of a cached workspace, out of shared memory."""
-        with obs.span("service.cache.attach"):
-            return entry.ticket.attach()
-
     def _evict_over_capacity(self) -> None:
         """Drop least-recently-used entries beyond capacity (lock held)."""
         while len(self._entries) > self.capacity:
-            _key, evicted = next(iter(self._entries.items()))
-            del self._entries[evicted.key]
-            release(evicted.ticket)
+            del self._entries[next(iter(self._entries))]
             self._evictions += 1
             obs.count("service.cache.evict")
 
@@ -174,14 +154,10 @@ class CheckpointCache:
                 "evictions": self._evictions,
                 "entries": len(entries),
                 "capacity": self.capacity,
-                "bytes": sum(entry["bytes"] for entry in entries),
                 "stores": entries,
             }
 
     def clear(self) -> None:
-        """Release every cached segment (server shutdown path)."""
+        """Drop every cached workspace (server shutdown path)."""
         with self._lock:
-            entries = list(self._entries.values())
             self._entries.clear()
-        for entry in entries:
-            release(entry.ticket)

@@ -13,7 +13,7 @@ One :class:`ReproService` owns four cooperating pieces:
   simulation in persistent warm processes;
 * the **checkpoint cache** (:mod:`repro.service.cache`): campaign jobs
   lease their workspace by spec fingerprint, so overlapping tenants
-  attach to one recorded golden run instead of re-recording it;
+  run on one recorded workspace instead of re-recording it;
 * the **journal** (:mod:`repro.service.jobs`): every submit and state
   transition is one flushed JSONL line, replayed on startup.
 

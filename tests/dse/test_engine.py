@@ -179,6 +179,23 @@ class TestResume:
         with pytest.raises(ConfigurationError, match="resume"):
             DseSweep(space, seed=SEED).run(resume=True)
 
+    def test_resuming_a_finished_sweep_builds_no_workspace(
+        self, space, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "sweep.jsonl"
+        DseSweep(space, seed=SEED, chunk_size=1).run(out=out)
+        finished = out.read_bytes()
+        monkeypatch.setattr(
+            DseSweep,
+            "workspace",
+            property(lambda sweep: pytest.fail("no shard left to run")),
+        )
+        resumed = DseSweep(space, seed=SEED, chunk_size=1).run(
+            out=out, resume=True
+        )
+        assert resumed.complete
+        assert out.read_bytes() == finished
+
     def test_uncommitted_shard_is_rerun(self, space, reference, tmp_path):
         out = tmp_path / "sweep.jsonl"
         sweep = DseSweep(space, seed=SEED, chunk_size=1)

@@ -4,15 +4,20 @@ The campaign and DSE suites exercise the harness through the real
 clients; these tests pin the engine's contract in isolation — with a
 work item that is just an integer and a record that is just a pair — so
 a regression in sharding, commit markers, resume validation, or the
-shared-payload path is attributable to the harness itself.
+hand-off of the parent's workspace to pool workers is attributable to
+the harness itself.
 """
 
 import json
+import os
 from dataclasses import dataclass
 
 import pytest
 
+from repro.attacks.corpus import AttackCorpus
+from repro.dse import DseSweep, engine, get_preset
 from repro.errors import ConfigurationError
+from repro.exec import golden, spec as spec_module
 from repro.exec.harness import (
     HarnessRunner,
     Job,
@@ -20,7 +25,10 @@ from repro.exec.harness import (
     WorkspaceFactory,
     validate_plan,
 )
-from repro.exec.sharing import publish, release
+from repro.exec.pool import pool_stats, shutdown_pools
+from repro.exec.runner import CampaignRunner, Workspace
+from repro.exec.spec import CampaignSpec
+from repro.faults import campaign
 
 SEED = 9
 ITEMS = list(range(23))  # chunk 5 -> shards of 5,5,5,5,3
@@ -36,18 +44,15 @@ class ToyRecord:
 
 @dataclass(slots=True)
 class ToyFactory(WorkspaceFactory):
-    """Squares its items; workspace is a dict so sharing is observable."""
+    """Squares its items plus the workspace's bias."""
 
     bias: int = 0
 
     record_type = "record"
     kind = "toy results"
 
-    def build(self, shared=None):
-        return {"bias": self.bias, "shared": shared is not None}
-
-    def shared_payload(self, workspace):
-        return {"bias": workspace["bias"]}
+    def build(self):
+        return {"bias": self.bias}
 
     def run_item(self, workspace, index, shard, item):
         return ToyRecord(index, shard, item * item + workspace["bias"])
@@ -95,18 +100,22 @@ class TestExecution:
         pooled = HarnessRunner(make_job(), workers=4).run()
         assert payloads(pooled.records) == payloads(serial.records)
 
-    def test_shared_payload_reaches_workers(self):
-        # The pool path publishes the parent workspace's payload; the
-        # toy factory records whether build() saw it.
-        job = make_job()
-        runner = HarnessRunner(job, workers=2)
-        result = runner.run()
-        assert result.complete
-        assert runner.workspace["shared"] is False  # parent built fresh
+    def test_workers_run_the_parent_workspace(self):
+        # The supplied workspace differs from factory.build(): workers
+        # that built their own would return the unbiased squares.
+        def supplier():
+            return {"bias": 100}
 
-    def test_share_false_skips_publication(self):
-        result = HarnessRunner(make_job(), workers=2, share=False).run()
-        assert result.complete
+        shutdown_pools()  # the pool below is built for this runner
+        serial = HarnessRunner(make_job(), workspace_supplier=supplier).run()
+        pooled = HarnessRunner(
+            make_job(), workers=2, workspace_supplier=supplier
+        ).run()
+        assert list(pool_stats().values()) == [1]
+        assert payloads(pooled.records) == payloads(serial.records)
+        assert payloads(serial.records) == [
+            (i, i // CHUNK, i * i + 100) for i in ITEMS
+        ]
 
     def test_ordered_is_index_sorted(self):
         result = HarnessRunner(make_job(), workers=4).run()
@@ -114,7 +123,7 @@ class TestExecution:
 
     def test_workspace_supplier_wins(self):
         runner = HarnessRunner(
-            make_job(), workspace_supplier=lambda: {"bias": 100, "shared": False}
+            make_job(), workspace_supplier=lambda: {"bias": 100}
         )
         assert payloads(runner.run().records) == [
             (i, i // CHUNK, i * i + 100) for i in ITEMS
@@ -217,25 +226,53 @@ class TestMeasureCache:
         assert "key" in cache
         assert len(cache) == 1
 
-    def test_seeding_short_circuits(self):
-        cache = MeasureCache({"warm": "payload"})
-        assert cache.get("warm", lambda: pytest.fail("rebuilt")) == "payload"
 
-    def test_snapshot_is_a_copy(self):
-        cache = MeasureCache()
-        cache.get("a", lambda: 1)
-        snap = cache.snapshot()
-        snap["b"] = 2
-        assert "b" not in cache
+class TestWorkersInherit:
+    """The real clients: pool workers run the parent's workspace and
+    build, record, derive and generate nothing themselves."""
 
+    @pytest.fixture
+    def parent_only(self, monkeypatch):
+        """Set-up steps that raise in any other process; pools are shut
+        down around the test so its workers fork after the patches."""
+        parent = os.getpid()
 
-class TestSharing:
-    def test_publish_attach_release_roundtrip(self):
-        payload = {"numbers": list(range(1000)), "text": "golden"}
-        ticket = publish(payload)
-        try:
-            assert ticket.attach() == payload
-            assert ticket.attach() == payload  # attach is repeatable
-        finally:
-            release(ticket)
-        release(ticket)  # double release is a no-op
+        def guard(owner, name):
+            original = getattr(owner, name)
+
+            def guarded(*args, **kwargs):
+                if os.getpid() != parent:
+                    raise AssertionError(f"pool worker called {name}")
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, guarded)
+
+        guard(Workspace, "build")
+        guard(AttackCorpus, "build")
+        guard(golden, "record_store")
+        for module in (campaign, spec_module, engine):
+            guard(module, "build_context")
+        shutdown_pools()
+        yield
+        shutdown_pools()
+
+    def test_golden_campaign(self, parent_only):
+        spec = CampaignSpec(workload="sha", scale="tiny", backend="golden")
+        serial = CampaignRunner(spec, chunk_size=8)
+        faults = serial.campaign.random_single_bit(32, seed=SEED)
+        pooled = CampaignRunner(spec, workers=2, chunk_size=8).run(
+            faults, seed=SEED
+        )
+        assert pooled.complete
+        assert list(pool_stats().values()) == [1]
+        assert pooled.report().summary() == serial.run(faults, seed=SEED).summary()
+
+    def test_smoke_dse_sweep(self, parent_only):
+        space = get_preset("smoke")
+        pooled = DseSweep(space, seed=SEED, workers=2, chunk_size=2).run()
+        assert pooled.complete
+        assert list(pool_stats().values()) == [1]
+        serial = DseSweep(space, seed=SEED, chunk_size=2).run()
+        assert [point.to_json() for point in pooled.ordered()] == [
+            point.to_json() for point in serial.ordered()
+        ]

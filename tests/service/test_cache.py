@@ -1,9 +1,12 @@
 """CheckpointCache: content addressing, LRU, dedupe, neutrality."""
 
+import sys
 import threading
+from collections import OrderedDict
 
 import pytest
 
+from repro.exec import golden
 from repro.exec.runner import Workspace
 from repro.exec.spec import CampaignSpec
 from repro.faults.campaign import FaultCampaign
@@ -41,8 +44,8 @@ class TestLease:
         assert stats["misses"] == 1
         assert stats["hits"] == 1
         assert stats["entries"] == 1
-        # Hits are private copies, never the same mutable object.
-        assert first is not second
+        # Every lease of one fingerprint is the cached workspace itself.
+        assert second is first
         cache.clear()
 
     def test_key_is_the_fingerprint(self):
@@ -56,8 +59,8 @@ class TestLease:
 
     def test_leased_workspace_classifies_like_fresh(self):
         cache = CheckpointCache(capacity=4)
-        cache.lease(spec())  # miss: builds and publishes
-        leased = cache.lease(spec())  # hit: shared-memory attach
+        cache.lease(spec())  # miss: builds and caches
+        leased = cache.lease(spec())  # hit: the cached workspace
         fresh = Workspace.build(spec())
         faults = FaultCampaign.from_context(fresh.context).random_single_bit(
             6, seed=9
@@ -74,7 +77,6 @@ class TestLease:
         cache.lease(spec())
         stats = cache.stats()
         assert stats["capacity"] == 4
-        assert stats["bytes"] > 0
         (store,) = stats["stores"]
         assert store["key"] == spec().fingerprint()
         assert store["label"] == "cache-a"
@@ -147,6 +149,52 @@ class TestConcurrency:
         stats = cache.stats()
         assert stats["misses"] == 1
         assert stats["hits"] == 3
+        cache.clear()
+
+    @pytest.mark.parametrize("backend", ["full", "golden", "pipeline-golden"])
+    def test_one_lease_runs_in_four_threads(self, backend, monkeypatch):
+        """Four jobs run one leased workspace at once; each classifies
+        every fault exactly as a fresh serial build does."""
+        workload = CampaignSpec(workload="sha", scale="tiny", backend=backend)
+        cache = CheckpointCache(capacity=4)
+        leased = cache.lease(workload)
+        # The reference shares no recording with the lease.
+        monkeypatch.setattr(golden, "_RECORDINGS", OrderedDict())
+        fresh = Workspace.build(workload)
+
+        def faults():  # per thread: transient parts carry fetch counters
+            return FaultCampaign.from_context(fresh.context).random_single_bit(
+                16, seed=5
+            )
+
+        def observed(results):
+            return [
+                (r.outcome, r.detail, r.latency, r.cycles) for r in results
+            ]
+
+        expected = observed(fresh.run_batch(faults()))
+        start = threading.Barrier(4, timeout=60)
+        got = [None] * 4
+
+        def run(slot):
+            batch = faults()
+            start.wait()
+            got[slot] = observed(
+                result for fault in batch for result in leased.run_batch([fault])
+            )
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the kernels finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [expected] * 4
         cache.clear()
 
     def test_clear_releases_everything(self):

@@ -11,7 +11,6 @@ at tiny fault counts so the whole module stays CI-fast.
 import asyncio
 import hashlib
 import json
-import os
 import socket
 import threading
 import time
@@ -70,13 +69,18 @@ class ServerHandle:
         )
 
     def start(self):
+        """Start the server; return once it answers a ping (the socket
+        file appears at bind, a moment before the server listens)."""
         self.thread.start()
         deadline = time.monotonic() + 10
-        while not os.path.exists(self.config.resolved_socket()):
-            if time.monotonic() > deadline:  # pragma: no cover
-                raise RuntimeError("server socket never appeared")
-            time.sleep(0.01)
-        return self
+        while True:
+            try:
+                self.client("probe").ping()
+                return self
+            except (ServiceError, OSError):
+                if time.monotonic() > deadline:  # pragma: no cover
+                    raise RuntimeError("server never answered ping")
+                time.sleep(0.01)
 
     def client(self, name="tenant"):
         return ServiceClient(
