@@ -17,6 +17,7 @@ Throughput tables land in ``results/`` next to the other paper artifacts.
 """
 
 import json
+import os
 import pathlib
 import time
 from collections import OrderedDict
@@ -99,7 +100,9 @@ def test_dse_workers_inherit_the_recordings(record_bench, tmp_path, monkeypatch)
     ]
 
     metrics = json.loads(pathlib.Path(metrics_path(out)).read_text())
-    recorded = metrics["telemetry"]["counters"].get("golden.stores_recorded", 0)
+    counters = metrics["telemetry"]["counters"]
+    recorded = counters.get("golden.stores_recorded", 0)
+    workers = {shard["worker"] for shard in metrics["shards"]}
     in_workers = sum(
         (shard.get("telemetry") or {})
         .get("counters", {})
@@ -109,11 +112,15 @@ def test_dse_workers_inherit_the_recordings(record_bench, tmp_path, monkeypatch)
     record_bench(
         configurations=pooled.total,
         workers=4,
-        worker_processes=len({shard["worker"] for shard in metrics["shards"]}),
+        worker_processes=len(workers),
         recordings=recorded,
         recordings_in_workers=in_workers,
         seconds=round(seconds, 4),
     )
+    # A serial sweep would pass the two recording checks too: pin that
+    # the shards ran on a pool the sweep built.
+    assert counters.get("pool.build", 0) == 1
+    assert os.getpid() not in workers
     assert recorded == len(space.workloads)
     assert in_workers == 0
 

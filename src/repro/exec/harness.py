@@ -118,8 +118,8 @@ class WorkspaceFactory:
     kind: str = "results"
 
     def build(self):
-        """Materialize one warm workspace: the parent's, unless its client
-        supplies one, and a pool worker's when none was handed over."""
+        """Materialize the parent's warm workspace, unless its client
+        supplies one; pool workers inherit it and never call this."""
         raise NotImplementedError
 
     def run_item(self, workspace, index: int, shard: int, item):
@@ -304,14 +304,14 @@ _WORKER_WORKSPACE = None
 
 def _pool_init(factory: WorkspaceFactory, workspace) -> None:
     """Pool initializer: adopt the parent's *workspace* (inherited under
-    ``fork``), or build one from the factory when none was supplied."""
+    ``fork``)."""
     global _WORKER_FACTORY, _WORKER_WORKSPACE
     # Under fork the worker inherits the parent's accumulated telemetry;
     # clear it so the first shard's drained delta holds only what this
     # worker measured itself (parent-side counts are merged parent-side).
     obs.local().clear()
     _WORKER_FACTORY = factory
-    _WORKER_WORKSPACE = factory.build() if workspace is None else workspace
+    _WORKER_WORKSPACE = workspace
 
 
 def _run_shard(
@@ -344,7 +344,7 @@ def _run_shard(
 
 
 def _pool_shard(task: ShardTask) -> tuple[int, list, dict]:
-    assert _WORKER_WORKSPACE is not None, "pool worker used before _pool_init"
+    assert _WORKER_FACTORY is not None, "pool worker used before _pool_init"
     return _run_shard(_WORKER_FACTORY, _WORKER_WORKSPACE, task)
 
 
@@ -372,7 +372,10 @@ class HarnessRunner:
         # An optional supplier lets the client hand over a parent-side
         # workspace it can build more cheaply than the factory (e.g.
         # around a prebuilt campaign context) — still lazily, so runs
-        # that touch no workspace never pay for one.
+        # that touch no workspace never pay for one.  What it returns
+        # must be equivalent to factory.build(): pools are keyed by the
+        # factory and reused, so a later runner with an equal factory
+        # is served by workers holding this runner's workspace.
         self._supplier = workspace_supplier
         self._workspace = None
 

@@ -29,6 +29,8 @@ from repro.exec.pool import pool_stats, shutdown_pools
 from repro.exec.runner import CampaignRunner, Workspace
 from repro.exec.spec import CampaignSpec
 from repro.faults import campaign
+from repro.obs import core as obs
+from repro.obs.metrics import metrics_path
 
 SEED = 9
 ITEMS = list(range(23))  # chunk 5 -> shards of 5,5,5,5,3
@@ -87,6 +89,15 @@ def payloads(records):
     ]
 
 
+@pytest.fixture
+def fresh_pools():
+    """An empty pool registry around the test: the pools it uses are
+    built for it, and none it leaves behind serves a later test."""
+    shutdown_pools()
+    yield
+    shutdown_pools()
+
+
 class TestExecution:
     def test_serial_complete(self):
         result = HarnessRunner(make_job()).run()
@@ -100,13 +111,12 @@ class TestExecution:
         pooled = HarnessRunner(make_job(), workers=4).run()
         assert payloads(pooled.records) == payloads(serial.records)
 
-    def test_workers_run_the_parent_workspace(self):
+    def test_workers_run_the_parent_workspace(self, fresh_pools):
         # The supplied workspace differs from factory.build(): workers
         # that built their own would return the unbiased squares.
         def supplier():
             return {"bias": 100}
 
-        shutdown_pools()  # the pool below is built for this runner
         serial = HarnessRunner(make_job(), workspace_supplier=supplier).run()
         pooled = HarnessRunner(
             make_job(), workers=2, workspace_supplier=supplier
@@ -227,14 +237,30 @@ class TestMeasureCache:
         assert len(cache) == 1
 
 
+def worker_counters(out) -> tuple[dict, set]:
+    """Counters the pool workers reported in the shard telemetry of the
+    run whose results file is *out*, summed, and the worker pids."""
+    with open(metrics_path(out)) as handle:
+        shards = json.load(handle)["shards"]
+    counters: dict = {}
+    for shard in shards:
+        for name, value in (shard.get("telemetry") or {}).get(
+            "counters", {}
+        ).items():
+            counters[name] = counters.get(name, 0) + value
+    return counters, {shard["worker"] for shard in shards}
+
+
 class TestWorkersInherit:
     """The real clients: pool workers run the parent's workspace and
     build, record, derive and generate nothing themselves."""
 
     @pytest.fixture
-    def parent_only(self, monkeypatch):
-        """Set-up steps that raise in any other process; pools are shut
-        down around the test so its workers fork after the patches."""
+    def parent_only(self, monkeypatch, fresh_pools):
+        """Make each set-up step count ``worker.<name>`` when it runs
+        outside the parent.  The count rides the worker's shard telemetry
+        back to the parent, so a call anywhere in a worker — its pool
+        initializer included — fails the test rather than hanging it."""
         parent = os.getpid()
 
         def guard(owner, name):
@@ -242,7 +268,7 @@ class TestWorkersInherit:
 
             def guarded(*args, **kwargs):
                 if os.getpid() != parent:
-                    raise AssertionError(f"pool worker called {name}")
+                    obs.count(f"worker.{name}")
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, guarded)
@@ -252,26 +278,36 @@ class TestWorkersInherit:
         guard(golden, "record_store")
         for module in (campaign, spec_module, engine):
             guard(module, "build_context")
-        shutdown_pools()
-        yield
-        shutdown_pools()
+        with obs.scoped(True):
+            yield
 
-    def test_golden_campaign(self, parent_only):
+    @staticmethod
+    def assert_parent_only(out):
+        counters, workers = worker_counters(out)
+        assert workers - {os.getpid()}, "no shard ran in a pool worker"
+        assert not [name for name in counters if name.startswith("worker.")]
+        assert counters.get("golden.stores_recorded", 0) == 0
+
+    def test_golden_campaign(self, parent_only, tmp_path):
         spec = CampaignSpec(workload="sha", scale="tiny", backend="golden")
         serial = CampaignRunner(spec, chunk_size=8)
         faults = serial.campaign.random_single_bit(32, seed=SEED)
+        out = tmp_path / "campaign.jsonl"
         pooled = CampaignRunner(spec, workers=2, chunk_size=8).run(
-            faults, seed=SEED
+            faults, seed=SEED, out=out
         )
         assert pooled.complete
         assert list(pool_stats().values()) == [1]
+        self.assert_parent_only(out)
         assert pooled.report().summary() == serial.run(faults, seed=SEED).summary()
 
-    def test_smoke_dse_sweep(self, parent_only):
+    def test_smoke_dse_sweep(self, parent_only, tmp_path):
         space = get_preset("smoke")
-        pooled = DseSweep(space, seed=SEED, workers=2, chunk_size=2).run()
+        out = tmp_path / "sweep.jsonl"
+        pooled = DseSweep(space, seed=SEED, workers=2, chunk_size=2).run(out=out)
         assert pooled.complete
         assert list(pool_stats().values()) == [1]
+        self.assert_parent_only(out)
         serial = DseSweep(space, seed=SEED, chunk_size=2).run()
         assert [point.to_json() for point in pooled.ordered()] == [
             point.to_json() for point in serial.ordered()
