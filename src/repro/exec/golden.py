@@ -20,13 +20,15 @@ holds what the functional and the cycle-level backend
    replacement policy and miss penalty; the monitor changes only timing,
    through OS miss handling.  :func:`pristine_recording` therefore
    records the :class:`FuncSim` run once per program and inputs in a
-   process, keeping a :class:`PristineRecording` with the fetch stream
-   and its redirect points; :func:`overlay_monitor` builds any other
-   configuration's store from it without executing an instruction, by
-   replaying a fresh checker, its OS handler and :class:`FuncSim`'s
-   scoreboard over that stream, each checkpoint equal to what
-   :func:`record_store` would take.  The cycle-level store, whose timing
-   the monitor changes cycle by cycle, is one recording per
+   process, *untimed* — no classification reads cycles — keeping a
+   :class:`PristineRecording` with the fetch stream and its redirect
+   points, from which the unmonitored cycles are replayed on demand;
+   :func:`overlay_monitor` builds any other configuration's store from
+   it without executing an instruction, by replaying only a fresh
+   checker and its OS handler over that stream, each checkpoint equal to
+   what an untimed :func:`record_store` would take.  No checkpoint of a
+   functional store carries timing state.  The cycle-level store, whose
+   timing the monitor changes cycle by cycle, is one recording per
    configuration.
 2. :func:`plan_fork` plans one injection: the first fetch ordinal at
    which the perturbation can corrupt the pipeline follows directly from
@@ -38,6 +40,8 @@ holds what the functional and the cycle-level backend
    execution proceeds live through the shared
    :func:`~repro.faults.campaign.classify_run` tail.  The functional
    kernel is :func:`run_batch_golden`; a single fault is a batch of one.
+   Its simulators run untimed, like the store's checkpoints they
+   restore.
 
 Soundness notes
     * Checkpoints are taken at instruction boundaries; the monitor's
@@ -160,20 +164,18 @@ class _StreamRecorder:
         return ordinals
 
 
-class _RedirectLog(_Scoreboard):
-    """:class:`FuncSim`'s scoreboard, noting the fetch ordinal of every
+class _RedirectLog:
+    """Redirect hook of an untimed recording: the fetch ordinal of every
     instruction that redirects fetch (a taken branch or any jump)."""
 
     __slots__ = ("_simulator", "ordinals")
 
     def __init__(self, simulator: FuncSim) -> None:
-        super().__init__(simulator.cycle_model)
         self._simulator = simulator
         self.ordinals = array("I")
 
-    def redirect(self) -> None:
+    def __call__(self) -> None:
         self.ordinals.append(self._simulator.fetch_hook.fetches)
-        _Scoreboard.redirect(self)
 
 
 class _ReadRecordingMemory(Memory):
@@ -254,7 +256,8 @@ class GoldenStore:
     #: recording sets it.
     golden_cycles: int | None = None
     #: The recorded run: console, exit code, instruction count and block
-    #: trace.  Its cycles are the recording configuration's.
+    #: trace.  Its cycles are the recording configuration's on the
+    #: pipeline and ``None`` on the untimed :class:`FuncSim`.
     result: RunResult | None = None
     #: Fetch counts of ``checkpoints``, for bisection.
     _marks: list[int] = field(default_factory=list)
@@ -421,11 +424,12 @@ def pristine_recording(
             monitor=caches.fresh_checker(context),
             inputs=context.inputs,
             decode_cache=caches.decode_cache,
+            timed=False,
         )
-        # The scoreboard is the one place FuncSim reports a redirect; a
-        # taken branch to the next instruction shows nowhere else.
+        # Only timing shows a taken branch to the next instruction, so
+        # the untimed run notes every redirect for the cycle replay.
         redirects = _RedirectLog(simulator)
-        simulator._scoreboard = redirects
+        simulator._on_redirect = redirects
         store = record_store(context, caches, interval, simulator, "golden")
         recorder = simulator.fetch_hook
         redirected = bytearray(recorder.fetches + 1)
@@ -464,19 +468,17 @@ def overlay_monitor(
 ) -> GoldenStore:
     """*context*'s monitor configuration laid over *pristine*.
 
-    Replays a fresh checker, its OS handler and :class:`FuncSim`'s
-    scoreboard over the fetch stream, in the order :meth:`FuncSim.run`
-    drives them, and checkpoints them at every pristine checkpoint.  The
-    stream runs to its end, so a monitor that would stop the pristine
-    run raises here as it would in a monitored recording.
+    Replays a fresh checker and its OS handler over the fetch stream, in
+    the order :meth:`FuncSim.run` drives them, and checkpoints them
+    beside the simulator state of every pristine checkpoint, which no
+    monitor changes on an untimed run.  The stream runs to its end, so a
+    monitor that would stop the pristine run raises here as it would in
+    a monitored recording.
     """
     checker = warm.fresh_checker(context)
     handler = checker.handler
-    scoreboard = _Scoreboard(CycleModel())
     fold = checker.on_instruction
     check = checker.on_block_end
-    issue = scoreboard.issue
-    redirect = scoreboard.redirect
     ops = pristine.ops
     stream = pristine.stream
     checkpoints: list[Checkpoint] = []
@@ -485,20 +487,15 @@ def overlay_monitor(
         for recorded in (*pristine.store.checkpoints, None):
             mark = len(stream) if recorded is None else recorded.instructions
             for op in stream[done:mark]:
-                address, word, instruction, ends_block, redirected = ops[op]
+                address, word, _instruction, ends_block, _redirected = ops[op]
                 fold(address, word)
-                issue(instruction, check(address) if ends_block else 0)
-                if redirected:
-                    redirect()
+                if ends_block:
+                    check(address)
             done = mark
             if recorded is not None:
                 checkpoints.append(
                     Checkpoint(
-                        mark,
-                        mark,
-                        replace(recorded.sim, scoreboard=scoreboard.capture()),
-                        checker.snapshot(),
-                        handler.snapshot(),
+                        mark, mark, recorded.sim, checker.snapshot(), handler.snapshot()
                     )
                 )
     obs.count("golden.stores_overlaid")
@@ -630,6 +627,7 @@ def run_batch_golden(store: GoldenStore, faults) -> list[FaultResult]:
         monitor=store.warm.fresh_checker(context),
         max_instructions=context.instruction_budget,
         decode_cache=store.warm.decode_cache,
+        timed=False,
     )
     position = -1  # the advancer's instruction count; -1 until restored
     runner = FuncSim(
@@ -638,6 +636,7 @@ def run_batch_golden(store: GoldenStore, faults) -> list[FaultResult]:
         max_instructions=context.instruction_budget,
         decode_cache=store.warm.decode_cache,
         hang_detector=context.golden_instructions,
+        timed=False,
     )
 
     micro: Checkpoint | None = None

@@ -24,6 +24,19 @@ push the instruction's own issue and everything behind it.
 A monitor object (usually :class:`repro.cic.checker.CodeIntegrityChecker`)
 may be attached; it observes fetched words and block ends *at the ID stage,
 before the instruction executes*, exactly like the pipeline.
+
+Timing is optional.  An *untimed* simulator (``timed=False``) builds no
+scoreboard: it executes the same instructions and drives the monitor the
+same way, but reports ``cycles=None`` and snapshots no timing state.  In
+the paper only Table 1's overhead reads cycles, so the timed default
+serves Table 1's monitored runs, ``repro run|monitor|workload`` and the
+differential tests against the pipeline.  Every path that only reads
+what the program did runs untimed: the pristine recording the golden
+stores fork from, both functional fault kernels (the ``golden`` batch
+kernel and ``run_one``, the ``full`` backend) and workload verification.
+The unmonitored cycles a recording still answers for come from
+replaying this scoreboard over its fetch stream
+(:meth:`repro.exec.golden.PristineRecording.unmonitored_cycles`).
 """
 
 from __future__ import annotations
@@ -31,7 +44,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
-from repro.errors import BudgetExceeded, MemoryAccessError, SimulationError
+from repro.errors import (
+    BudgetExceeded,
+    ConfigurationError,
+    MemoryAccessError,
+    SimulationError,
+)
 from repro.asm.program import Program
 from repro.pipeline import semantics
 from repro.pipeline.hazards import CycleModel
@@ -68,7 +86,8 @@ class Monitor(Protocol):
 class RunResult:
     """Everything a finished (or paused) simulation reports."""
 
-    cycles: int
+    #: ``None`` when the simulator ran untimed.
+    cycles: int | None
     instructions: int
     exit_code: int
     console: str
@@ -199,14 +218,16 @@ class FuncSimSnapshot:
 
     Contains everything a fresh simulator needs to continue the run
     bit-for-bit: architected state, syscall progress, the scoreboard's
-    timing registers, the open basic block, and the trace so far.
+    timing registers (``None`` from an untimed simulator, which only an
+    untimed simulator restores), the open basic block, and the trace so
+    far.
     """
 
     instructions: int
     arch: ArchSnapshot
     syscalls: SyscallSnapshot
     block_start: int | None
-    scoreboard: tuple
+    scoreboard: tuple | None
     trace: tuple[tuple[int, int], ...]
     finished: bool = False
     exit_code: int = 0
@@ -245,6 +266,9 @@ class FuncSim:
         would, without burning the remaining budget.  Campaign kernels
         arm it at the golden run's instruction count so pristine-length
         runs never pay the per-redirect bookkeeping.
+    timed:
+        ``False`` runs without the scoreboard: no cycle count, no timing
+        state in snapshots, same architected behaviour.
     """
 
     def __init__(
@@ -258,6 +282,7 @@ class FuncSim:
         max_instructions: int = 50_000_000,
         decode_cache: dict[int, Instruction] | None = None,
         hang_detector: int | None = None,
+        timed: bool = True,
     ):
         self.program = program
         self.cycle_model = cycle_model or CycleModel()
@@ -276,7 +301,11 @@ class FuncSim:
         self._text_end = program.text_end
         # Resumable run state: run(until=k) pauses here, snapshot()/
         # restore() move it across simulator instances.
-        self._scoreboard = _Scoreboard(self.cycle_model)
+        self._scoreboard = _Scoreboard(self.cycle_model) if timed else None
+        #: Called after every instruction that redirects fetch: the
+        #: scoreboard's squash, or nothing on an untimed run unless a
+        #: recording notes the redirects itself.
+        self._on_redirect = self._scoreboard.redirect if timed else None
         self._trace = BlockTrace() if collect_trace else None
         self._block_start: int | None = None
         self._executed = 0
@@ -318,6 +347,7 @@ class FuncSim:
         state = self.state
         monitor = self.monitor
         scoreboard = self._scoreboard
+        on_redirect = self._on_redirect
         trace = self._trace
         block_start = self._block_start
         executed = self._executed
@@ -347,10 +377,11 @@ class FuncSim:
                     block_start = None
                     if monitor is not None:
                         extra = monitor.on_block_end(pc)
-                scoreboard.issue(instruction, extra)
+                if scoreboard is not None:
+                    scoreboard.issue(instruction, extra)
                 redirected, exited, exit_code = self._execute(instruction, pc)
-                if redirected:
-                    scoreboard.redirect()
+                if redirected and on_redirect is not None:
+                    on_redirect()
                 if exited:
                     self._finished = True
                     self._exit_code = exit_code
@@ -366,7 +397,7 @@ class FuncSim:
             self._block_start = block_start
             self._executed = executed
         return RunResult(
-            cycles=scoreboard.total_cycles(),
+            cycles=None if scoreboard is None else scoreboard.total_cycles(),
             instructions=executed,
             exit_code=self._exit_code,
             console=self.syscalls.console_text,
@@ -431,7 +462,9 @@ class FuncSim:
             arch=snapshot_arch(self.state),
             syscalls=snapshot_syscalls(self.syscalls),
             block_start=self._block_start,
-            scoreboard=self._scoreboard.capture(),
+            scoreboard=(
+                None if self._scoreboard is None else self._scoreboard.capture()
+            ),
             trace=(
                 tuple(event.key for event in self._trace)
                 if self._trace is not None
@@ -442,14 +475,25 @@ class FuncSim:
         )
 
     def restore(self, snapshot: FuncSimSnapshot) -> None:
-        """Rewind (or fast-forward) this simulator to *snapshot*."""
+        """Rewind (or fast-forward) this simulator to *snapshot*.
+
+        Timed and untimed states never mix: a snapshot restores only into
+        a simulator of its own kind.
+        """
+        scoreboard = self._scoreboard
+        if (scoreboard is None) != (snapshot.scoreboard is None):
+            raise ConfigurationError(
+                "timed and untimed FuncSim states never mix: this simulator "
+                f"is {'untimed' if scoreboard is None else 'timed'}"
+            )
         # States observed before the move are not on the restored path.
         self._loop_seen.clear()
         restore_arch(self.state, snapshot.arch)
         restore_syscalls(self.syscalls, snapshot.syscalls)
         self._block_start = snapshot.block_start
         self._executed = snapshot.instructions
-        self._scoreboard.restore(snapshot.scoreboard)
+        if scoreboard is not None:
+            scoreboard.restore(snapshot.scoreboard)
         if self._trace is not None:
             self._trace.events.clear()
             for start, end in snapshot.trace:

@@ -3,13 +3,13 @@
 The CIC only observes the fetch stream, so a pristine run executes
 identically under every monitor configuration; the monitor changes only
 timing.  :func:`repro.exec.golden.build_golden_store` therefore records
-the golden run once per program and inputs in a process and overlays
-every further configuration on it.  These tests pin an overlaid store
-equal, checkpoint for checkpoint, to a monitored recording of the same
-configuration —
-architected state, scoreboard timing registers, CIC registers, IHT rows,
-handler counters and policy state — and the DSE points it feeds
-independent of the order configurations are measured in.
+the golden run once per program and inputs in a process, untimed, and
+overlays every further configuration on it.  These tests pin an overlaid
+store equal, checkpoint for checkpoint, to an untimed monitored
+recording of the same configuration — architected state, syscalls, CIC
+registers, IHT rows, handler counters and policy state, with no timing
+state on either side — and the DSE points it feeds independent of the
+order configurations are measured in.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ from repro.faults.models import BitFlipFault
 from repro.obs import core as obs
 from repro.pipeline.funcsim import FuncSim
 
+from tests.programs import SELF_READING
+
 #: (hash, IHT size, policy, miss penalty): every axis moves at least once.
 CONFIGS = [
     ("crc32", 1, "lru_one", 50),
@@ -45,7 +47,8 @@ CONFIGS = [
 
 
 def monitored_store(context, interval=None):
-    """The reference: one monitored recording of *context*'s config."""
+    """The reference: one untimed monitored recording of *context*'s
+    config."""
     warm = WarmProcess.from_context(context)
     simulator = FuncSim(
         context.program,
@@ -53,6 +56,7 @@ def monitored_store(context, interval=None):
         inputs=context.inputs,
         max_instructions=context.instruction_budget,
         decode_cache=warm.decode_cache,
+        timed=False,
     )
     return record_store(context, warm, interval, simulator, "reference")
 
@@ -61,6 +65,7 @@ def assert_same_store(overlaid, recorded):
     assert len(overlaid.checkpoints) == len(recorded.checkpoints) > 1
     for mine, theirs in zip(overlaid.checkpoints, recorded.checkpoints):
         assert mine == theirs, mine.instructions
+        assert mine.sim.scoreboard is None
     assert overlaid.fetch_ordinals == recorded.fetch_ordinals
     assert overlaid.unsafe_words == recorded.unsafe_words
     assert overlaid.golden_instructions == recorded.golden_instructions
@@ -91,27 +96,6 @@ def test_overlay_equals_monitored_recording(workload):
     base = CampaignSpec(workload=workload, scale="tiny").build_context()
     for context, store in overlaid_stores(base):
         assert_same_store(store, monitored_store(context))
-
-
-#: Reads and stores back its own text, and takes a conditional branch
-#: to the next instruction, whose redirect shows in timing only.
-SELF_READING = """
-main:   la $t0, main
-        lw $t1, 4($t0)
-        sw $t1, 4($t0)
-        lb $t2, 8($t0)
-        li $t3, 5
-loop:   addi $t3, $t3, -1
-        beq $zero, $zero, next
-next:   bne $t3, $zero, loop
-        lw $t4, 0($t0)
-        mult $t4, $t3
-        mflo $a0
-        li $v0, 1
-        syscall
-        li $v0, 10
-        syscall
-"""
 
 
 def test_overlay_on_a_program_that_reads_its_own_text():

@@ -15,6 +15,7 @@ from collections import OrderedDict
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
 
 from repro.asm.assembler import assemble
 from repro.errors import ConfigurationError
@@ -34,6 +35,9 @@ from repro.pipeline import cpu, funcsim
 from repro.pipeline.funcsim import run_program
 from repro.pipeline.trace import executed_addresses
 from repro.workloads.suite import WORKLOAD_NAMES
+
+from tests.pipeline.test_differential_control_flow import hazard_programs
+from tests.programs import SELF_READING
 
 CASES = [(name, "tiny") for name in WORKLOAD_NAMES] + [("sha", "small")]
 
@@ -135,6 +139,31 @@ class TestDerivedEqualsReference:
         functional = CampaignSpec(workload=name, scale=scale)
         pipeline = replace(functional, backend="pipeline-golden")
         assert pipeline.build_context() == functional.build_context()
+
+
+class TestUnmonitoredCycles:
+    """The recording runs untimed, yet notes every redirect, so the
+    cycles replayed off its stream equal a timed unmonitored run's
+    (:class:`TestDerivedEqualsReference` covers the nine workloads)."""
+
+    @staticmethod
+    def assert_replayed_cycles(source):
+        program = assemble(source)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(golden, "_RECORDINGS", OrderedDict())
+            recording = golden.pristine_recording(CampaignContext(program))
+        assert recording.store.result.cycles is None
+        assert recording.unmonitored_cycles() == run_program(program).cycles
+
+    def test_branch_to_the_next_instruction(self):
+        # Its taken `beq` redirects to where the untaken one would go:
+        # only timing tells them apart.
+        self.assert_replayed_cycles(SELF_READING)
+
+    @settings(max_examples=40, deadline=None)
+    @given(source=hazard_programs())
+    def test_hazard_programs(self, source):
+        self.assert_replayed_cycles(source)
 
 
 class TestCheckpointGrid:
