@@ -87,7 +87,7 @@ harness-smoke:  ## kill -> resume on both harness clients (campaign + DSE)
 # The first sweep's counters show one recording per workload in the whole
 # process tree (the parent records it to derive the context, the forked
 # workers inherit it) and one store per measure the golden backend ran,
-# each the recording's own checkpoints or a monitor overlaid on them.
+# each a monitor overlaid on the recording, which has none.
 dse-smoke:  ## tiny 2-worker DSE sweep through the CLI, with resume + frontier
 	$(PYTHON) -m repro dse sweep --preset smoke --workers 2 \
 	    --seed 42 --out results/dse_smoke.jsonl
@@ -96,7 +96,7 @@ dse-smoke:  ## tiny 2-worker DSE sweep through the CLI, with resume + frontier
 	counters = metrics['telemetry']['counters']; \
 	workloads = len(metrics['manifest']['workloads']); \
 	recorded = counters.get('golden.stores_recorded', 0); \
-	stores = counters.get('golden.stores_reused', 0) + counters.get('golden.stores_overlaid', 0); \
+	stores = counters.get('golden.stores_overlaid', 0); \
 	measures = counters.get('dse.measures', 0); \
 	print(f'dse-smoke: {recorded} recordings of {workloads} workloads, {stores} stores, {measures} measures'); \
 	sys.exit(0 if recorded == workloads and stores == measures > 0 else 1)"
@@ -110,9 +110,10 @@ dse-smoke:  ## tiny 2-worker DSE sweep through the CLI, with resume + frontier
 # obs-smoke proves the telemetry pipeline end to end: a tiny golden
 # campaign leaves results/obs_smoke.metrics.json beside its JSONL
 # (manifest + merged spans/counters + per-shard stats), its counters show
-# the pristine program was recorded once and its store overlaid nothing,
-# then `repro stats --check` renders it and validates it against the
-# metrics schema — exiting 1 if the file is missing or malformed.
+# the pristine program was recorded once, with no monitor, and its one
+# store overlaid on that recording, then `repro stats --check` renders
+# it and validates it against the metrics schema — exiting 1 if the file
+# is missing or malformed.
 obs-smoke:  ## tiny campaign -> metrics.json present, schema-valid, rendered
 	$(PYTHON) -m repro campaign bitcount --scale tiny --backend golden \
 	    --faults 24 --chunk 6 --seed 42 --out results/obs_smoke.jsonl
@@ -121,7 +122,7 @@ obs-smoke:  ## tiny campaign -> metrics.json present, schema-valid, rendered
 	recorded = counters.get('golden.stores_recorded', 0); \
 	overlaid = counters.get('golden.stores_overlaid', 0); \
 	print(f'obs-smoke: {recorded} recordings, {overlaid} overlaid stores'); \
-	sys.exit(0 if recorded == 1 and overlaid == 0 else 1)"
+	sys.exit(0 if recorded == 1 and overlaid == 1 else 1)"
 	$(PYTHON) -m repro stats results/obs_smoke.metrics.json --check
 
 # coverage-smoke is the ground-truth gate (docs/COVERAGE.md): every

@@ -38,7 +38,7 @@ Commands
     (one run per workload — a campaign preset's roster, or the whole
     suite); ``--preset NAME`` supplies a campaign's fault plan and
     scale/backend, or a DSE space, and explicit flags override it.
-    ``--backend`` picks the execution backend from the registry:
+    ``--backend`` picks the execution backend:
     ``golden`` forks each injection from the recorded golden run instead
     of re-simulating from instruction zero (``full``),
     ``pipeline-golden`` forks the cycle-level pipeline and measures

@@ -176,7 +176,7 @@ class DseWorkspace:
                 seed=self.seed,
             )
         if space.adversary == "same-column":
-            golden = pristine_recording(self.base_context(workload)).store.result
+            golden = pristine_recording(self.base_context(workload)).run.result
             return same_column_pairs(
                 golden.block_trace, space.pair_count, self.seed
             )

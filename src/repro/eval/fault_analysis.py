@@ -121,7 +121,7 @@ def run_fault_analysis(
     # The recording's block trace supplies the same block set (in the same
     # iteration order) the historical sampler drew from, so the pair list
     # — and the committed BENCH numbers — stay byte-identical.
-    golden = pristine_recording(campaign.context).store.result
+    golden = pristine_recording(campaign.context).run.result
     pairs = same_column_pairs(golden.block_trace, multi_bit_count, seed + 2)
     result.scenarios.append(
         FaultScenario(

@@ -5,6 +5,11 @@ For every workload: total execution cycles without the CIC, with an
 LRU replace-half).  The paper's measured overhead percentages are embedded
 for comparison.
 
+Every count replays the workload's one pristine recording, with no
+monitor and with a fresh one per IHT size
+(:meth:`~repro.exec.golden.PristineRecording.cycles`): exactly what a
+timed monitored simulation would count, with no simulation.
+
 Scale note (EXPERIMENTS.md discusses this in full): the paper's MiBench/
 PISA builds average ~100 cycles between flow-control instructions
 (software floating point inflates block length), while these hand-written
@@ -17,9 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.eval.common import baseline_run, monitored_run
+from repro.eval.common import baseline_run, workload_fht, workload_recording
+from repro.osmodel.loader import load_process
 from repro.utils.tables import TextTable
-from repro.workloads.suite import WORKLOAD_NAMES
+from repro.workloads.suite import WORKLOAD_NAMES, build
 
 IHT_SIZES = (8, 16)
 
@@ -127,18 +133,25 @@ def run_table1(
     miss_penalty: int = 100,
     workloads: tuple[str, ...] = WORKLOAD_NAMES,
 ) -> Table1Result:
-    """Monitored simulation of every workload at each IHT size."""
+    """Every workload's recording replayed through a fresh monitor at
+    each IHT size."""
     result = Table1Result()
     for name in workloads:
         base = baseline_run(name, scale)
+        recording = workload_recording(name, scale)
         monitored_cycles: dict[int, int] = {}
         misses: dict[int, int] = {}
         lookups: dict[int, int] = {}
         for size in sizes:
-            run = monitored_run(name, size, scale, miss_penalty=miss_penalty)
-            monitored_cycles[size] = run.cycles
-            misses[size] = run.monitor_stats.misses
-            lookups[size] = run.monitor_stats.lookups
+            checker = load_process(
+                build(name, scale),
+                iht_size=size,
+                miss_penalty=miss_penalty,
+                fht=workload_fht(name, scale),
+            ).monitor
+            monitored_cycles[size] = recording.cycles(checker)
+            misses[size] = checker.stats.misses
+            lookups[size] = checker.stats.lookups
         result.rows.append(
             Table1Row(
                 workload=name,

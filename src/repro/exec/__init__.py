@@ -13,16 +13,16 @@ reproducibility:
   markers, kill/resume, and worker-count invariance that every sweep in
   the repo (campaigns, attack sweeps, the design-space explorer) runs
   on;
-* :mod:`repro.exec.backends` — the pluggable :class:`Backend` registry:
-  ``full`` replay, ``golden`` fork-at-fault, and the cycle-measuring
-  ``pipeline-golden``, each a batch kernel where one fault is a batch of
-  one;
+* :mod:`repro.exec.backends` — the three backends, named in
+  :data:`BACKENDS`: ``full`` replay, ``golden`` fork-at-fault, and the
+  cycle-measuring ``pipeline-golden``, each a batch kernel where one
+  fault is a batch of one;
 * :mod:`repro.exec.golden` — the one checkpoint store, record loop and
   fork planner both golden backends share, and the functional batch
   kernel; :mod:`repro.exec.pipeline_golden` holds the cycle-level one;
 * :mod:`repro.exec.spec` — :class:`CampaignSpec`, the picklable campaign
   description a workspace is derived from; its ``backend`` field names a
-  registered backend;
+  backend;
 * :mod:`repro.exec.runner` — :class:`CampaignRunner`, the campaign
   client of the harness, and its warm
   :class:`~repro.exec.runner.Workspace`;
@@ -74,12 +74,7 @@ or, from a shell, ``python -m repro campaign sha --scale tiny --faults 200
 --workers 4 --seed 42 --out sha.jsonl --resume``.
 """
 
-from repro.exec.backends import (
-    Backend,
-    backend_names,
-    get_backend,
-    register_backend,
-)
+from repro.exec.backends import BACKENDS, Backend, get_backend
 from repro.exec.golden import (
     GoldenStore,
     build_golden_store,
@@ -103,7 +98,7 @@ from repro.exec.pool import WarmPool, pool_stats, shutdown_pools
 from repro.exec.presets import CampaignPreset, get_campaign_preset
 from repro.exec.records import FaultRecord, fault_from_json, fault_to_json
 from repro.exec.runner import CampaignResult, CampaignRunner, Workspace
-from repro.exec.spec import BACKENDS, CampaignSpec, shard_seed
+from repro.exec.spec import CampaignSpec, shard_seed
 
 __all__ = [
     "BACKENDS",
@@ -122,7 +117,6 @@ __all__ = [
     "WarmPool",
     "Workspace",
     "WorkspaceFactory",
-    "backend_names",
     "build_golden_store",
     "build_pipeline_golden_store",
     "fault_from_json",
@@ -130,7 +124,6 @@ __all__ = [
     "get_backend",
     "get_campaign_preset",
     "pool_stats",
-    "register_backend",
     "run_batch_golden",
     "run_batch_pipeline_golden",
     "run_one_pipeline",

@@ -1,4 +1,4 @@
-"""Pluggable injection-execution backends and their registry.
+"""The three injection-execution backends, by name.
 
 A *backend* decides **how** one classified injection is executed — never
 *what* the answer is.  Every backend consumes the same inputs (a
@@ -29,10 +29,13 @@ Backends self-describe through three small hooks:
 :meth:`Backend.pristine_run` is the recorded run a context derives from,
 :meth:`Backend.prepare` builds the per-worker state on it once,
 :meth:`Backend.run_batch` executes a batch of injections against it — a
-single injection is a batch of one.  Registering a new backend is one
-:func:`register_backend` call; every consumer — ``CampaignSpec``
-validation, the harness workspaces, the DSE engine, the CLI ``--backend``
-choices — resolves names through this registry.
+single injection is a batch of one.  The functional pair derive their
+context from the one :class:`FuncSim` recording of the program
+(:func:`~repro.exec.golden.pristine_recording`), made with no monitor,
+so every configuration reads the same pristine run; ``pipeline-golden``
+reads its own, monitored, cycle-level recording.  Every consumer —
+``CampaignSpec`` validation, the harness workspaces, the DSE engine, the
+CLI ``--backend`` choices — resolves names through :func:`get_backend`.
 """
 
 from __future__ import annotations
@@ -52,10 +55,8 @@ from repro.pipeline.funcsim import RunResult
 class Backend:
     """One injection-execution strategy (see the module table)."""
 
-    #: Registry key, CLI value, and the ``backend`` field of specs/headers.
+    #: CLI value, and the ``backend`` field of specs/headers.
     name: str = ""
-    #: One-line description surfaced in ``--help`` and docs.
-    description: str = ""
     #: Whether :meth:`run_batch` fills :attr:`FaultResult.cycles` with
     #: measured cycle counts (the cycle-level backends).
     measures_cycles: bool = False
@@ -63,7 +64,7 @@ class Backend:
     def pristine_run(self, config: CampaignContext) -> RunResult:
         """*config*'s pristine run, block trace included: the one
         recording per process that :meth:`prepare` builds on."""
-        return pristine_recording(config).store.result
+        return pristine_recording(config).run.result
 
     def prepare(self, context: CampaignContext, warm: WarmProcess):
         """Build the per-worker execution state for *context* once."""
@@ -82,7 +83,6 @@ class Backend:
 @dataclass(frozen=True)
 class FullBackend(Backend):
     name = "full"
-    description = "re-simulate every injection from instruction zero"
 
     def prepare(self, context, warm):
         return (context, warm)
@@ -95,7 +95,6 @@ class FullBackend(Backend):
 @dataclass(frozen=True)
 class GoldenBackend(Backend):
     name = "golden"
-    description = "fork the recorded functional golden run at the fault"
 
     def prepare(self, context, warm):
         return build_golden_store(context, warm)
@@ -107,7 +106,6 @@ class GoldenBackend(Backend):
 @dataclass(frozen=True)
 class PipelineGoldenBackend(Backend):
     name = "pipeline-golden"
-    description = "fork the cycle-level pipeline at the fault (measured cycles)"
     measures_cycles = True
 
     def pristine_run(self, config):
@@ -120,40 +118,20 @@ class PipelineGoldenBackend(Backend):
         return run_batch_pipeline_golden(state, faults)
 
 
-_REGISTRY: dict[str, Backend] = {}
+_BY_NAME = {
+    backend.name: backend
+    for backend in (FullBackend(), GoldenBackend(), PipelineGoldenBackend())
+}
 
-
-def register_backend(backend: Backend) -> Backend:
-    """Add *backend* to the registry (name collisions are refused)."""
-    if not backend.name:
-        raise ConfigurationError("backend needs a non-empty name")
-    if backend.name in _REGISTRY:
-        raise ConfigurationError(f"backend {backend.name!r} already registered")
-    _REGISTRY[backend.name] = backend
-    return backend
+#: Every backend name, in the order ``--backend`` lists them.
+BACKENDS = tuple(_BY_NAME)
 
 
 def get_backend(name: str) -> Backend:
-    """Resolve a backend by registry name."""
-    backend = _REGISTRY.get(name)
+    """Resolve a backend by name."""
+    backend = _BY_NAME.get(name)
     if backend is None:
         raise ConfigurationError(
-            f"unknown backend {name!r}; choose from: {', '.join(_REGISTRY)}"
+            f"unknown backend {name!r}; choose from: {', '.join(BACKENDS)}"
         )
     return backend
-
-
-def backend_names() -> tuple[str, ...]:
-    """Registered backend names, in registration order."""
-    return tuple(_REGISTRY)
-
-
-register_backend(FullBackend())
-register_backend(GoldenBackend())
-register_backend(PipelineGoldenBackend())
-
-#: Historical alias: modules used to import the valid-name tuple from
-#: :mod:`repro.exec.spec`.  Frozen at import time on purpose — the three
-#: built-ins are always registered above before anyone reads it; late
-#: registrations should query :func:`backend_names` instead.
-BACKENDS = backend_names()

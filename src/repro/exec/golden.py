@@ -8,28 +8,28 @@ per process and fork each injection at the fault instead.  This module
 holds what the functional and the cycle-level backend
 (:mod:`repro.exec.pipeline_golden`) share, plus the functional kernel:
 
-1. :func:`record_store` executes the *monitored* pristine run on either
-   simulator, pausing to snapshot it and the monitor (CIC registers, IHT
-   rows, handler counters, policy state) on an interval that doubles as
-   the run grows.  The same run records, per text address, the ordinals
-   of its fetches, the text words the program reads as *data* or stores
-   to, and its block trace — from which the campaign's golden reference
-   is derived (:func:`~repro.faults.campaign.build_context`), so no other
-   pristine run exists.  The CIC only observes the fetch stream, so the
-   pristine run executes identically under every hash, IHT size,
-   replacement policy and miss penalty; the monitor changes only timing,
-   through OS miss handling.  :func:`pristine_recording` therefore
-   records the :class:`FuncSim` run once per program and inputs in a
-   process, *untimed* — no classification reads cycles — keeping a
-   :class:`PristineRecording` with the fetch stream and its redirect
-   points, from which the unmonitored cycles are replayed on demand;
-   :func:`overlay_monitor` builds any other configuration's store from
-   it without executing an instruction, by replaying only a fresh
-   checker and its OS handler over that stream, each checkpoint equal to
-   what an untimed :func:`record_store` would take.  No checkpoint of a
-   functional store carries timing state.  The cycle-level store, whose
-   timing the monitor changes cycle by cycle, is one recording per
-   configuration.
+1. :func:`record_store` executes a pristine run on either simulator,
+   pausing to snapshot it, and its monitor if it has one, on an interval
+   that doubles as the run grows.  The same run records, per text
+   address, the ordinals of its fetches, the text words the program
+   reads as *data* or stores to, and its block trace — from which the
+   campaign's golden reference is derived
+   (:func:`~repro.faults.campaign.build_context`), so no other pristine
+   run exists.  The CIC only observes the fetch stream, so the pristine
+   run executes identically under every monitor configuration; the
+   monitor changes only timing, through OS miss handling.
+   :func:`pristine_recording` therefore records the :class:`FuncSim` run
+   once per program and inputs in a process, *untimed* and with no
+   monitor, so it depends only on its memo key: a
+   :class:`PristineRecording` of simulator checkpoints and the fetch
+   stream with its redirect points, from which cycles with or without a
+   monitor are replayed on demand.  :func:`overlay_monitor`, the only
+   builder of a functional store, lays any configuration over it without
+   executing an instruction, replaying a fresh checker and its OS
+   handler over the stream.  The cycle-level store, whose timing the
+   monitor changes cycle by cycle, is one monitored recording per
+   configuration.  Every store build checks the recording against the
+   context's golden reference (:func:`check_reference`).
 2. :func:`plan_fork` plans one injection: the first fetch ordinal at
    which the perturbation can corrupt the pipeline follows directly from
    the recorded ordinals.  A perturbation that can never deliver —
@@ -70,7 +70,7 @@ import pickle
 from array import array
 from bisect import bisect_right
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 from repro.obs import core as obs
@@ -112,13 +112,17 @@ class Checkpoint:
     #: A :class:`~repro.pipeline.funcsim.FuncSimSnapshot` or a
     #: :class:`~repro.pipeline.cpu.PipelineSnapshot`.
     sim: object
-    checker: tuple
-    handler: tuple
+    #: The checker's and its OS handler's state: ``None`` in a recording
+    #: with no monitor attached, which an overlay fills.
+    checker: tuple | None
+    handler: tuple | None
 
 
 def _checkpoint(simulator, fetches: int) -> Checkpoint:
     sim = simulator.snapshot()
     checker = simulator.monitor
+    if checker is None:
+        return Checkpoint(sim.instructions, fetches, sim, None, None)
     return Checkpoint(
         sim.instructions, fetches, sim, checker.snapshot(), checker.handler.snapshot()
     )
@@ -280,22 +284,44 @@ class GoldenStore:
         return counts
 
 
-def record_store(
-    context: CampaignContext,
-    warm: WarmProcess,
-    interval: int | None,
-    simulator,
-    label: str,
-) -> GoldenStore:
-    """Record the monitored golden run of *simulator* with checkpoints.
+@dataclass(slots=True)
+class Recording:
+    """What :func:`record_store` keeps of one run, on either simulator,
+    and nothing of the context or warm caches that asked for it."""
 
-    *simulator* is a freshly booted, monitored :class:`FuncSim` or
-    :class:`~repro.pipeline.cpu.PipelineCPU`; *label* names the
-    ``<label>.record`` span and the recording counters.  With no
-    *interval*, every other checkpoint goes and the interval doubles
-    whenever they pass twice the default count.  A *context* with a
-    golden reference is checked against the run, and the simulator's
-    fetch hook is left holding the fetch stream.
+    #: With the monitor's state only if a monitor ran.
+    checkpoints: list[Checkpoint]
+    fetch_ordinals: dict[int, tuple[int, ...]]
+    unsafe_words: frozenset[int]
+    interval: int
+    result: RunResult
+
+    def store(
+        self, context: CampaignContext, warm: WarmProcess, checkpoints: list[Checkpoint]
+    ) -> GoldenStore:
+        """This run as *context*'s store, forking from *checkpoints*."""
+        return GoldenStore(
+            context=context,
+            warm=warm,
+            checkpoints=checkpoints,
+            fetch_ordinals=self.fetch_ordinals,
+            unsafe_words=self.unsafe_words,
+            golden_instructions=self.result.instructions,
+            interval=self.interval,
+            golden_cycles=self.result.cycles,
+            result=self.result,
+        )
+
+
+def record_store(simulator, interval: int | None, label: str) -> Recording:
+    """Record the pristine run of *simulator* with checkpoints.
+
+    *simulator* is a freshly booted :class:`FuncSim` or
+    :class:`~repro.pipeline.cpu.PipelineCPU`, monitored or not; *label*
+    names the ``<label>.record`` span and the recording counters.  With
+    no *interval*, every other checkpoint goes and the interval doubles
+    whenever they pass twice the default count.  The simulator's fetch
+    hook is left holding the fetch stream.
     """
     thinning = interval is None
     if thinning:
@@ -307,8 +333,8 @@ def record_store(
         simulator.fetch_hook = recorder
         memory = _ReadRecordingMemory(
             simulator.state.memory,
-            context.program.text_start,
-            context.program.text_end,
+            simulator.program.text_start,
+            simulator.program.text_end,
         )
         simulator.state.memory = memory
         checkpoints = [_checkpoint(simulator, 0)]
@@ -327,13 +353,6 @@ def record_store(
             if thinning and len(checkpoints) > 2 * DEFAULT_CHECKPOINT_COUNT:
                 del checkpoints[1::2]
                 interval *= 2
-    if context.golden_instructions and (
-        result.console != context.golden_console
-        or result.exit_code != context.golden_exit
-    ):
-        raise ConfigurationError(
-            "monitored golden run diverged from the recorded reference"
-        )
     ordinals = recorder.fetch_ordinals()
     unsafe = set(memory.touched_words)
     for address, reads in memory.word_reads.items():
@@ -341,20 +360,27 @@ def record_store(
             unsafe.add(address)
     obs.count(f"{label}.stores_recorded")
     obs.count(f"{label}.checkpoints", len(checkpoints))
-    return GoldenStore(
-        context=context,
-        warm=warm,
+    return Recording(
         checkpoints=checkpoints,
         fetch_ordinals={
             address: tuple(seen) for address, seen in ordinals.items()
         },
         unsafe_words=frozenset(unsafe),
-        golden_instructions=result.instructions,
         interval=interval,
-        # Measured by the cycle-level pipeline; FuncSim keeps no count.
-        golden_cycles=getattr(simulator, "cycles", None),
         result=result,
     )
+
+
+def check_reference(context: CampaignContext, result: RunResult) -> None:
+    """Refuse a *context* whose golden reference is not *result*'s console
+    and exit code; a hand-built context, which has none, passes."""
+    if context.golden_instructions and (
+        result.console != context.golden_console
+        or result.exit_code != context.golden_exit
+    ):
+        raise ConfigurationError(
+            "pristine run diverged from the context's golden reference"
+        )
 
 
 #: Recordings by :func:`kept` key, oldest first.  Each call on it is atomic;
@@ -378,13 +404,13 @@ def kept(context: CampaignContext, record, *key):
 
 @dataclass(slots=True)
 class PristineRecording:
-    """The golden run of one program and its inputs, as every monitor
-    configuration sees it: nothing an overlay reads here depends on the
-    monitor."""
+    """The golden run of one program and its inputs, with no monitor
+    attached: no monitor changes what the run executes, so nothing here
+    depends on one."""
 
-    #: The recording configuration's store; an overlay keeps its
-    #: architected state, fetch ordinals and unsafe words.
-    store: GoldenStore
+    #: An untimed :class:`FuncSim` run: its checkpoints carry simulator
+    #: state only.
+    run: Recording
     #: The fetch stream: per executed instruction, an index into ``ops``.
     stream: array
     #: Distinct stream entries ``(address, word, instruction, ends_block,
@@ -392,45 +418,56 @@ class PristineRecording:
     #: not, a word the program overwrote once per value fetched.
     ops: list[tuple]
 
-    def unmonitored_cycles(self) -> int:
-        """:class:`FuncSim`'s scoreboard replayed over the stream with no
-        monitor charge: the cycles of the run with no monitor attached."""
+    def cycles(self, checker=None) -> int:
+        """The cycles of a timed :class:`FuncSim` run with *checker*
+        attached, or with no monitor.
+
+        Replays the scoreboard over the stream and drives *checker* as
+        that run drives its monitor: the fold, at a block end the OS
+        charge, the issue, and the squash after a redirect.  *checker*
+        ends where that run leaves it, statistics included, and raises
+        where it would.
+        """
         scoreboard = _Scoreboard(CycleModel())
+        ops = self.ops
         for op in self.stream:
-            _address, _word, instruction, _ends, redirected = self.ops[op]
-            scoreboard.issue(instruction)
+            address, word, instruction, ends_block, redirected = ops[op]
+            extra = 0
+            if checker is not None:
+                checker.on_instruction(address, word)
+                if ends_block:
+                    extra = checker.on_block_end(address)
+            scoreboard.issue(instruction, extra)
             if redirected:
                 scoreboard.redirect()
         return scoreboard.total_cycles()
 
 
 def pristine_recording(
-    context: CampaignContext,
-    warm: WarmProcess | None = None,
-    interval: int | None = None,
+    context: CampaignContext, interval: int | None = None
 ) -> PristineRecording:
-    """The process's one :class:`FuncSim` recording of *context*'s program
-    and inputs (at *interval*), monitored by the first to ask for it.
+    """The process's one recording of *context*'s program and inputs (at
+    *interval*): an untimed :class:`FuncSim` run with no monitor, so the
+    recording depends on nothing its memo key leaves out.
 
-    Costs one monitored run, bounded by the simulator's own cap since the
-    budget derives from it, the snapshot copies, and one pass that indexes
-    the fetch stream.
+    Costs one run, bounded by the simulator's own cap since the budget
+    derives from it, the snapshot copies, and one pass that indexes the
+    fetch stream.
     """
 
     def record() -> PristineRecording:
-        caches = warm or WarmProcess.from_context(context)
+        decoded: dict = {}
         simulator = FuncSim(
             context.program,
-            monitor=caches.fresh_checker(context),
             inputs=context.inputs,
-            decode_cache=caches.decode_cache,
+            decode_cache=decoded,
             timed=False,
         )
         # Only timing shows a taken branch to the next instruction, so
         # the untimed run notes every redirect for the cycle replay.
         redirects = _RedirectLog(simulator)
         simulator._on_redirect = redirects
-        store = record_store(context, caches, interval, simulator, "golden")
+        run = record_store(simulator, interval, "golden")
         recorder = simulator.fetch_hook
         redirected = bytearray(recorder.fetches + 1)
         for ordinal in redirects.ordinals:
@@ -447,7 +484,6 @@ def pristine_recording(
                 )
             ),
         )
-        decoded = caches.decode_cache
         ops = [
             (
                 address,
@@ -458,7 +494,7 @@ def pristine_recording(
             )
             for address, word, taken in index
         ]
-        return PristineRecording(store, stream, ops)
+        return PristineRecording(run, stream, ops)
 
     return kept(context, record, interval)
 
@@ -466,14 +502,15 @@ def pristine_recording(
 def overlay_monitor(
     pristine: PristineRecording, context: CampaignContext, warm: WarmProcess
 ) -> GoldenStore:
-    """*context*'s monitor configuration laid over *pristine*.
+    """*context*'s monitor configuration laid over *pristine*: the one
+    way a :class:`FuncSim` store is built.
 
     Replays a fresh checker and its OS handler over the fetch stream, in
     the order :meth:`FuncSim.run` drives them, and checkpoints them
     beside the simulator state of every pristine checkpoint, which no
     monitor changes on an untimed run.  The stream runs to its end, so a
     monitor that would stop the pristine run raises here as it would in
-    a monitored recording.
+    a monitored run.
     """
     checker = warm.fresh_checker(context)
     handler = checker.handler
@@ -484,7 +521,7 @@ def overlay_monitor(
     checkpoints: list[Checkpoint] = []
     done = 0
     with obs.span("golden.overlay"):
-        for recorded in (*pristine.store.checkpoints, None):
+        for recorded in (*pristine.run.checkpoints, None):
             mark = len(stream) if recorded is None else recorded.instructions
             for op in stream[done:mark]:
                 address, word, _instruction, ends_block, _redirected = ops[op]
@@ -500,7 +537,7 @@ def overlay_monitor(
                 )
     obs.count("golden.stores_overlaid")
     obs.count("golden.checkpoints", len(checkpoints))
-    return replace(pristine.store, context=context, warm=warm, checkpoints=checkpoints)
+    return pristine.run.store(context, warm, checkpoints)
 
 
 def build_golden_store(
@@ -508,16 +545,15 @@ def build_golden_store(
     warm: WarmProcess | None = None,
     interval: int | None = None,
 ) -> GoldenStore:
-    """The :class:`FuncSim` store of *context*: the checkpoints of the
-    program's one recording (:func:`pristine_recording`), with *context*'s
-    monitor overlaid (:func:`overlay_monitor`) unless it is the
-    recording's own."""
-    warm = warm or WarmProcess.from_context(context)
-    pristine = pristine_recording(context, warm, interval)
-    if pristine.store.context.monitor != context.monitor:
-        return overlay_monitor(pristine, context, warm)
-    obs.count("golden.stores_reused")
-    return replace(pristine.store, context=context, warm=warm)
+    """The :class:`FuncSim` store of *context*: its monitor overlaid
+    (:func:`overlay_monitor`) on the program's one recording
+    (:func:`pristine_recording`), once that recording is checked against
+    *context*'s golden reference."""
+    pristine = pristine_recording(context, interval)
+    check_reference(context, pristine.run.result)
+    return overlay_monitor(
+        pristine, context, warm or WarmProcess.from_context(context)
+    )
 
 
 def plan_fork(store: GoldenStore, fault) -> tuple[tuple, tuple, int] | None:

@@ -37,8 +37,6 @@ against full :class:`PipelineCPU` replay — outcome, detail, latency,
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.obs import core as obs
 from repro.faults.campaign import (
     CampaignContext,
@@ -51,6 +49,7 @@ from repro.faults.campaign import (
 )
 from repro.exec.golden import (
     GoldenStore,
+    check_reference,
     kept,
     plan_fork,
     record_store,
@@ -78,22 +77,22 @@ def build_pipeline_golden_store(
     interval: int | None = None,
 ) -> GoldenStore:
     """Record the monitored pristine run on the cycle-level pipeline, once
-    per program, inputs and monitor configuration in a process.
+    per program, inputs and monitor configuration in a process, and check
+    it against *context*'s golden reference.
 
     Costs one monitored :class:`PipelineCPU` run plus the snapshot
     copies; every injection then forks at a checkpoint, and the run's
     measured cycle count is kept as ``golden_cycles``.
     """
     warm = warm or WarmProcess.from_context(context)
-    store = kept(
+    recording = kept(
         context,
-        lambda: record_store(
-            context, warm, interval, _fresh_cpu(context, warm), "pipeline_golden"
-        ),
+        lambda: record_store(_fresh_cpu(context, warm), interval, "pipeline_golden"),
         interval,
         *context.monitor,
     )
-    return replace(store, context=context, warm=warm)
+    check_reference(context, recording.result)
+    return recording.store(context, warm, recording.checkpoints)
 
 
 def classify_pipeline_run(

@@ -10,7 +10,7 @@ module only contributes the campaign-shaped pieces:
 
 * :class:`CampaignWorkspaceFactory` — builds a :class:`Workspace` from
   the picklable :class:`~repro.exec.spec.CampaignSpec`, executes each shard
-  through the batch kernel of the spec's registered backend
+  through the batch kernel of the spec's backend
   (:mod:`repro.exec.backends`: ``full`` replay, ``golden`` fork-at-fault,
   or cycle-measuring ``pipeline-golden``), and translates
   :class:`~repro.exec.records.FaultRecord` to and from the JSONL wire;
@@ -292,9 +292,9 @@ def config_runners(
     """One runner per hash × policy configuration of *spec*'s program.
 
     The program and its inputs fix the pristine run, never the monitor
-    configuration: the first configuration records it, and every other
-    one overlays its monitor on that recording.  *options* go to every
-    runner.
+    configuration: the first configuration records it, with no monitor,
+    and every configuration overlays its monitor on that recording.
+    *options* go to every runner.
     """
     for hash_name in hash_names:
         for policy_name in policy_names:

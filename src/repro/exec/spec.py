@@ -20,7 +20,7 @@ from repro.asm.assembler import assemble
 from repro.asm.program import Program
 from repro.cic.hashes import get_hash
 from repro.errors import ConfigurationError
-from repro.exec.backends import BACKENDS, get_backend
+from repro.exec.backends import get_backend
 from repro.faults.campaign import CampaignContext, build_context
 from repro.osmodel.policies import get_policy
 from repro.utils.seeds import derive_seed
@@ -35,7 +35,7 @@ from repro.workloads.suite import SCALES, WORKLOAD_NAMES
 #: bit-for-bit: v3 files written before it resume unchanged.
 SPEC_VERSION = 3
 
-__all__ = ["BACKENDS", "CampaignSpec", "SPEC_VERSION", "shard_seed"]
+__all__ = ["CampaignSpec", "SPEC_VERSION", "shard_seed"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,7 +48,7 @@ class CampaignSpec:
     remaining fields configure the monitor and the hang budget, mirroring
     :class:`~repro.faults.campaign.FaultCampaign`.
 
-    *backend* names a registered execution backend
+    *backend* names an execution backend
     (:mod:`repro.exec.backends`) — ``"full"`` re-simulates from
     instruction zero, ``"golden"`` forks the recorded golden run at the
     nearest checkpoint before the fault (:mod:`repro.exec.golden`), and

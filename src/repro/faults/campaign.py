@@ -1,8 +1,8 @@
 """Fault campaigns: inject, run, classify.
 
 A campaign's *golden* reference — console, exit code, executed code — is
-read off the one monitored recording of the pristine program that the
-backends fork faults from (:func:`build_context`).  Each fault is then
+read off the one recording of the pristine program that the backends
+fork faults from (:func:`build_context`).  Each fault is then
 injected into a monitored simulation and the run's outcome is classified:
 
 =====================  ====================================================

@@ -29,14 +29,14 @@ Timing is optional.  An *untimed* simulator (``timed=False``) builds no
 scoreboard: it executes the same instructions and drives the monitor the
 same way, but reports ``cycles=None`` and snapshots no timing state.  In
 the paper only Table 1's overhead reads cycles, so the timed default
-serves Table 1's monitored runs, ``repro run|monitor|workload`` and the
-differential tests against the pipeline.  Every path that only reads
-what the program did runs untimed: the pristine recording the golden
-stores fork from, both functional fault kernels (the ``golden`` batch
-kernel and ``run_one``, the ``full`` backend) and workload verification.
-The unmonitored cycles a recording still answers for come from
-replaying this scoreboard over its fetch stream
-(:meth:`repro.exec.golden.PristineRecording.unmonitored_cycles`).
+serves ``repro run|monitor|workload`` and the differential tests against
+the pipeline.  Every path that only reads what the program did runs
+untimed: the pristine recording the golden stores fork from, both
+functional fault kernels (the ``golden`` batch kernel and ``run_one``,
+the ``full`` backend) and workload verification.  Table 1's cycles, with
+and without a monitor, come from replaying this scoreboard over the
+recording's fetch stream
+(:meth:`repro.exec.golden.PristineRecording.cycles`).
 """
 
 from __future__ import annotations

@@ -110,19 +110,27 @@ class TestEvaluation:
     def test_cycle_overhead_matches_live_monitored_run(self, space, reference):
         """The penalty model *is* the Table-1 accounting: overhead computed
         from replayed misses equals a live monitored simulation's."""
-        from repro.eval.common import baseline_run, monitored_run
+        from repro.eval.common import baseline_run
+        from repro.osmodel.loader import load_process
+        from repro.pipeline.funcsim import FuncSim
+        from repro.workloads.suite import build, workload_inputs
 
         for point in reference.ordered():
             config = point.config
             for workload in space.workloads:
                 base = baseline_run(workload, space.scale)
-                live = monitored_run(
-                    workload,
-                    config.iht_size,
-                    space.scale,
+                program = build(workload, space.scale)
+                monitor = load_process(
+                    program,
+                    iht_size=config.iht_size,
                     hash_name=config.hash_name,
                     miss_penalty=config.miss_penalty,
-                )
+                ).monitor
+                live = FuncSim(
+                    program,
+                    monitor=monitor,
+                    inputs=workload_inputs(workload, space.scale),
+                ).run()
                 live_overhead = (live.cycles - base.cycles) / base.cycles
                 assert point.per_workload[workload][
                     "cycle_overhead"

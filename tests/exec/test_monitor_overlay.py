@@ -3,13 +3,13 @@
 The CIC only observes the fetch stream, so a pristine run executes
 identically under every monitor configuration; the monitor changes only
 timing.  :func:`repro.exec.golden.build_golden_store` therefore records
-the golden run once per program and inputs in a process, untimed, and
-overlays every further configuration on it.  These tests pin an overlaid
-store equal, checkpoint for checkpoint, to an untimed monitored
-recording of the same configuration — architected state, syscalls, CIC
-registers, IHT rows, handler counters and policy state, with no timing
-state on either side — and the DSE points it feeds independent of the
-order configurations are measured in.
+the golden run once per program and inputs in a process, untimed and
+with no monitor, and overlays every configuration on it.  These tests
+pin an overlaid store equal, checkpoint for checkpoint, to an untimed
+monitored recording of the same configuration — architected state,
+syscalls, CIC registers, IHT rows, handler counters and policy state,
+with no timing state on either side — and the DSE points it feeds
+independent of the order configurations are measured in.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ def monitored_store(context, interval=None):
         decode_cache=warm.decode_cache,
         timed=False,
     )
-    return record_store(context, warm, interval, simulator, "reference")
+    return record_store(simulator, interval, "reference")
 
 
 def assert_same_store(overlaid, recorded):
@@ -68,7 +68,7 @@ def assert_same_store(overlaid, recorded):
         assert mine.sim.scoreboard is None
     assert overlaid.fetch_ordinals == recorded.fetch_ordinals
     assert overlaid.unsafe_words == recorded.unsafe_words
-    assert overlaid.golden_instructions == recorded.golden_instructions
+    assert overlaid.golden_instructions == recorded.result.instructions
     assert overlaid.interval == recorded.interval
 
 

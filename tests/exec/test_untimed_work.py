@@ -5,8 +5,10 @@ instruction to :class:`FuncSim`'s scoreboard: not the pristine recording,
 not the monitor overlays, not either functional kernel.  A DSE sweep
 reads the unmonitored cycles of each workload once, by replaying the
 scoreboard over the recording's fetch stream behind the cached
-``baseline_run``.  These counts are exact, unlike wall-clock time, so a
-change that puts timing back on a cycle-blind path fails here.
+``baseline_run``, and Table 1 replays the same stream through a fresh
+monitor per IHT size instead of simulating again.  These counts are
+exact, unlike wall-clock time, so a change that puts timing back on a
+cycle-blind path, or a simulation back under Table 1, fails here.
 """
 
 from __future__ import annotations
@@ -17,10 +19,12 @@ import pytest
 
 from repro.dse.engine import DseSweep
 from repro.dse.presets import PRESETS
-from repro.eval.common import baseline_run
+from repro.eval.common import baseline_run, workload_recording
+from repro.eval.table1_cycles import run_table1
 from repro.exec import CampaignRunner, CampaignSpec
 from repro.exec import golden
-from repro.pipeline.funcsim import _Scoreboard
+from repro.pipeline.funcsim import FuncSim, _Scoreboard
+from repro.workloads.suite import WORKLOAD_NAMES
 
 
 @pytest.fixture
@@ -63,3 +67,18 @@ def test_dse_sweep_issues_one_stream_per_workload(issued):
         for name in space.workloads
     )
     assert issues == streams
+
+
+def test_table1_simulates_nothing_once_recorded(issued, monkeypatch):
+    for name in WORKLOAD_NAMES:
+        workload_recording(name, "tiny")
+    built = [0]
+    original = FuncSim.__init__
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(FuncSim, "__init__", counting)
+    assert len(run_table1(scale="tiny").rows) == len(WORKLOAD_NAMES)
+    assert built[0] == 0

@@ -19,3 +19,23 @@ next:   bne $t3, $zero, loop
         li $v0, 10
         syscall
 """
+
+#: Swaps two words of a block it has yet to fetch, then runs it: the
+#: swap keeps the block's behaviour and its XOR checksum, but not its
+#: CRC-32, so a ``crc32`` monitor stops the pristine run and an ``xor``
+#: one does not.
+SWAPS_ITS_OWN_TEXT = """
+main:   la $t0, first
+        lw $t1, 0($t0)
+        lw $t2, 4($t0)
+        sw $t2, 0($t0)
+        sw $t1, 4($t0)
+        j first
+first:  li $t5, 1
+        li $t6, 2
+        addu $a0, $t5, $t6
+        li $v0, 1
+        syscall
+        li $v0, 10
+        syscall
+"""

@@ -434,10 +434,10 @@ class TestChoiceMirrors:
     registries."""
 
     def test_backend_choices_match_registry(self):
-        from repro.exec.backends import backend_names
+        from repro.exec.backends import BACKENDS
         from repro.jobs import BACKEND_CHOICES
 
-        assert BACKEND_CHOICES == backend_names()
+        assert BACKEND_CHOICES == BACKENDS
 
     def test_campaign_preset_choices_match_registry(self):
         from repro.exec.presets import PRESETS
