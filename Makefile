@@ -111,9 +111,10 @@ dse-smoke:  ## tiny 2-worker DSE sweep through the CLI, with resume + frontier
 # campaign leaves results/obs_smoke.metrics.json beside its JSONL
 # (manifest + merged spans/counters + per-shard stats), its counters show
 # the pristine program was recorded once, with no monitor, and its one
-# store overlaid on that recording, then `repro stats --check` renders
-# it and validates it against the metrics schema — exiting 1 if the file
-# is missing or malformed.
+# store overlaid on that recording (it also prints the pristine
+# instructions the golden kernel replayed per fault), then `repro stats
+# --check` renders it and validates it against the metrics schema —
+# exiting 1 if the file is missing or malformed.
 obs-smoke:  ## tiny campaign -> metrics.json present, schema-valid, rendered
 	$(PYTHON) -m repro campaign bitcount --scale tiny --backend golden \
 	    --faults 24 --chunk 6 --seed 42 --out results/obs_smoke.jsonl
@@ -121,7 +122,8 @@ obs-smoke:  ## tiny campaign -> metrics.json present, schema-valid, rendered
 	counters = json.load(open('results/obs_smoke.metrics.json'))['telemetry']['counters']; \
 	recorded = counters.get('golden.stores_recorded', 0); \
 	overlaid = counters.get('golden.stores_overlaid', 0); \
-	print(f'obs-smoke: {recorded} recordings, {overlaid} overlaid stores'); \
+	replayed = counters.get('golden.batch.prefix_replayed', 0) / max(counters.get('golden.batch.fork', 0), 1); \
+	print(f'obs-smoke: {recorded} recordings, {overlaid} overlaid stores, {replayed:.2f} prefix instructions replayed per fault'); \
 	sys.exit(0 if recorded == 1 and overlaid == 1 else 1)"
 	$(PYTHON) -m repro stats results/obs_smoke.metrics.json --check
 

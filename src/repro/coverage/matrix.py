@@ -207,7 +207,10 @@ def render_payload(payload: dict) -> str:
 
 def load_payload(path) -> dict:
     with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except ValueError as error:  # JSONDecodeError, UnicodeDecodeError
+            raise ConfigurationError(f"{path}: not JSON ({error})") from None
     if not isinstance(data, dict) or data.get("type") != COVERAGE_TYPE:
         raise ConfigurationError(
             f"{path}: not a coverage matrix artifact"

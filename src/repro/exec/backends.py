@@ -25,17 +25,19 @@ name                execution strategy
                     measurement
 ==================  =====================================================
 
-Backends self-describe through three small hooks:
+Backends self-describe through three small hooks and one constant:
 :meth:`Backend.pristine_run` is the recorded run a context derives from,
 :meth:`Backend.prepare` builds the per-worker state on it once,
 :meth:`Backend.run_batch` executes a batch of injections against it — a
-single injection is a batch of one.  The functional pair derive their
-context from the one :class:`FuncSim` recording of the program
-(:func:`~repro.exec.golden.pristine_recording`), made with no monitor,
-so every configuration reads the same pristine run; ``pipeline-golden``
-reads its own, monitored, cycle-level recording.  Every consumer —
-``CampaignSpec`` validation, the harness workspaces, the DSE engine, the
-CLI ``--backend`` choices — resolves names through :func:`get_backend`.
+single injection is a batch of one — and :attr:`Backend.batch_size` is
+how many faults one call takes when ``--batch-size`` is unset.  The
+functional pair derive their context from the one :class:`FuncSim`
+recording of the program (:func:`~repro.exec.golden.pristine_recording`),
+made with no monitor, so every configuration reads the same pristine
+run; ``pipeline-golden`` reads its own, monitored, cycle-level
+recording.  Every consumer — ``CampaignSpec`` validation, the harness
+workspaces, the DSE engine, the CLI ``--backend`` choices — resolves
+names through :func:`get_backend`.
 """
 
 from __future__ import annotations
@@ -60,6 +62,10 @@ class Backend:
     #: Whether :meth:`run_batch` fills :attr:`FaultResult.cycles` with
     #: measured cycle counts (the cycle-level backends).
     measures_cycles: bool = False
+    #: Faults per :meth:`run_batch` call when the run does not choose;
+    #: ``None`` is one shard, for kernels that share nothing across a
+    #: batch.
+    batch_size: int | None = None
 
     def pristine_run(self, config: CampaignContext) -> RunResult:
         """*config*'s pristine run, block trace included: the one
@@ -95,6 +101,11 @@ class FullBackend(Backend):
 @dataclass(frozen=True)
 class GoldenBackend(Backend):
     name = "golden"
+    #: One advancer pass serves the whole batch, so the prefix replayed
+    #: per fault falls as the batch grows (docs/PERFORMANCE.md has the
+    #: sweep); 256 is within 8% of one call for 1000 faults, and a kill
+    #: loses at most 256 faults.
+    batch_size = 256
 
     def prepare(self, context, warm):
         return build_golden_store(context, warm)

@@ -41,7 +41,9 @@ holds what the functional and the cycle-level backend
    :func:`~repro.faults.campaign.classify_run` tail.  The functional
    kernel is :func:`run_batch_golden`; a single fault is a batch of one.
    Its simulators run untimed, like the store's checkpoints they
-   restore.
+   restore.  A campaign hands it a window of consecutive shards, 256
+   faults by default (:mod:`repro.exec.harness`), so one pass of its
+   advancer over the pristine run serves every fault of the window.
 
 Soundness notes
     * Checkpoints are taken at instruction boundaries; the monitor's

@@ -15,9 +15,9 @@ This module is that machinery, written **once**:
 * :class:`WorkspaceFactory` — how to run it: a picklable recipe that
   builds a warm workspace, executes one item against it, and
   encodes/decodes the client's record type for the wire;
-* :class:`HarnessRunner` — the engine: serial and pooled execution,
-  JSONL streaming, ``shard-done`` commit markers, kill/resume, and the
-  worker-count-invariance guarantees;
+* :class:`HarnessRunner` — the engine: serial and pooled execution of
+  windows of shards, JSONL streaming, ``shard-done`` commit markers,
+  kill/resume, and the worker-count-invariance guarantees;
 * :class:`MeasureCache` — the workspace-layer memo for measures shared
   across the items a worker evaluates.
 
@@ -43,6 +43,18 @@ Guarantees (inherited by every client)
       that does not begin with this job's header: fingerprint, seed,
       total, chunk size, and schema version must all agree.
 
+Windows
+    The shard is the unit of resume; the *window* is the unit of
+    dispatch.  A factory whose kernel shares work across a batch sets
+    :attr:`WorkspaceFactory.window`, and :func:`plan_windows` groups
+    runs of consecutive pending shards into windows of up to that many
+    items — whole shards only, at least one, and on a pool at most one
+    worker's share of the pending items.  A window runs as one task;
+    once it completes, its shards commit in index order, each with its
+    own records and marker, so a serial file is the same bytes under any
+    window and a kill loses at most one window.  Without a window every
+    task is one shard.
+
 One workspace per process tree
     The parent's workspace is the only way recorded state reaches the
     pool: a new pool's initializer receives that object, and the
@@ -54,9 +66,9 @@ One workspace per process tree
 
 Telemetry
     Every run is observed through :mod:`repro.obs`: workers accumulate
-    counters and spans process-locally and drain them per shard, the
-    parent merges each delta at shard commit (riding the same seam the
-    JSONL records cross), and a ``<out>.metrics.json`` manifest +
+    counters and spans process-locally and drain them per task, the
+    parent merges each delta at commit (riding the same seam the JSONL
+    records cross), and a ``<out>.metrics.json`` manifest +
     metrics artifact lands beside the results file.  Runs with an
     ``out`` also stream a live ``<out>.events.jsonl`` event log at the
     same commit seam (:mod:`repro.obs.events`): run-started /
@@ -85,14 +97,16 @@ from repro.obs.metrics import (
 from repro.exec.spec import shard_seed
 from repro.utils.jsonl import AppendLog, read_complete
 
-#: Items per shard when a job does not choose: the unit of work
-#: distribution *and* of resume.
+#: Items per shard when a job does not choose: the unit of resume, and
+#: of work distribution unless the factory sets a window.
 DEFAULT_CHUNK_SIZE = 16
 
 #: Header keys resume validates against the requesting job.
 RESUME_KEYS = ("fingerprint", "seed", "total", "chunk_size", "version")
 
-#: A shard task: (shard_id, first index, items, derived seed).
+#: A shard task: (shard_id, first index, items, derived seed).  A task
+#: dispatched for a window has the same shape: its first shard's id,
+#: index and seed, and the items of all its shards.
 ShardTask = tuple[int, int, list, int]
 
 
@@ -116,6 +130,11 @@ class WorkspaceFactory:
     record_type: str = "record"
     #: Human label for diagnostics ("campaign results", "DSE sweep").
     kind: str = "results"
+    #: Items one task may carry: the harness dispatches consecutive
+    #: shards together as a *window* of up to this many items (at least
+    #: one whole shard), and :meth:`run_items` must then stamp each
+    #: record with its own shard.  ``None`` keeps one shard per task.
+    window: int | None = None
 
     def build(self):
         """Materialize the parent's warm workspace, unless its client
@@ -128,14 +147,18 @@ class WorkspaceFactory:
         raise NotImplementedError
 
     def run_items(self, workspace, start: int, shard: int, items: list) -> list:
-        """Execute one shard's items; return their records in item order.
+        """Execute one task's items; return their records in item order.
 
-        The default runs :meth:`run_item` per item.  Clients whose
-        backends have a *batched* kernel (e.g. the campaign factory
-        grouping golden-backend injections that fork from the same
-        checkpoint) override this to hand the kernel whole batches —
-        the records must be exactly what the per-item path produces,
-        which the scaling-invariance tier pins.
+        *items* are the job's items from index *start*, which lies in
+        shard *shard*: one shard, or — for a client that sets
+        :attr:`window` — the consecutive shards of a window, whose
+        records each carry their own shard.  The default runs
+        :meth:`run_item` per item, all in *shard*.  Clients whose backends have a
+        *batched* kernel (the campaign factory, whose golden backend
+        shares one advancer pass across a batch) override this to hand
+        the kernel the whole window — the records must be exactly what
+        the per-item path produces, which the scaling-invariance tier
+        pins.
         """
         return [
             self.run_item(workspace, start + offset, shard, item)
@@ -294,6 +317,43 @@ class MeasureCache:
         return len(self._data)
 
 
+def plan_windows(
+    pending: list[ShardTask], window: int | None, workers: int
+) -> list[list[ShardTask]]:
+    """Group *pending* shards into windows, the unit of dispatch.
+
+    A window is a run of consecutive shards holding at most *window*
+    items, and at least one shard; ``None`` keeps one shard per window.
+    With several *workers* a window also holds at most its share of
+    the pending items, so a pooled run stays pooled.
+    """
+    if window is not None and workers > 1:
+        share = -(-sum(len(task[2]) for task in pending) // workers)
+        window = min(window, share)
+    windows: list[list[ShardTask]] = []
+    size = 0
+    for task in pending:
+        if (
+            windows
+            and window is not None
+            and task[0] == windows[-1][-1][0] + 1
+            and size + len(task[2]) <= window
+        ):
+            windows[-1].append(task)
+            size += len(task[2])
+        else:
+            windows.append([task])
+            size = len(task[2])
+    return windows
+
+
+def window_task(window: list[ShardTask]) -> ShardTask:
+    """The one task that dispatches *window*: its first shard's
+    coordinates and seed with every shard's items."""
+    shard_id, start, _items, seed = window[0]
+    return shard_id, start, [item for task in window for item in task[2]], seed
+
+
 # ----------------------------------------------------------------------
 # Pool workers (module-level so they pickle under any start method)
 # ----------------------------------------------------------------------
@@ -317,14 +377,15 @@ def _pool_init(factory: WorkspaceFactory, workspace) -> None:
 def _run_shard(
     factory: WorkspaceFactory, workspace, task: ShardTask
 ) -> tuple[int, list, dict]:
-    """Execute one shard; return ``(shard_id, records, meta)``.
+    """Execute one task — a shard or a window of shards; return
+    ``(shard_id, records, meta)`` for its first shard.
 
     ``meta`` is the execution-side observation the parent folds in at
-    shard commit: which worker ran the shard, its wall seconds and record
+    commit: which worker ran the task, its wall seconds and record
     count, and — when telemetry is enabled — the worker's drained
     :class:`~repro.obs.core.Telemetry` delta (kernel counters and spans
     accumulated since the previous drain; a worker's warm-up counters
-    ride along with its first shard).  Draining per shard is what keeps
+    ride along with its first task).  Draining per task is what keeps
     persistent pool workers from leaking telemetry across runs.
     """
     shard_id, start, items, _seed = task
@@ -516,6 +577,13 @@ class HarnessRunner:
                 pending = [task for task in plan if task[0] not in done_shards]
                 if stop_after_shards is not None:
                     pending = pending[:stop_after_shards]
+                windows = {
+                    window[0][0]: window
+                    for window in plan_windows(
+                        pending, job.factory.window, self.workers
+                    )
+                }
+                tasks = [window_task(window) for window in windows.values()]
 
             # The event log rides the same switch as the rest of the
             # telemetry (pure observer; repro.obs.events) and the same
@@ -565,38 +633,54 @@ class HarnessRunner:
                             records_done=len(records),
                         )
 
-            def commit(shard_id: int, shard_records: list, meta: dict) -> None:
+            def commit(first: int, task_records: list, meta: dict) -> None:
+                """Commit a finished window's shards, in index order, each
+                with its own records and ``shard-done`` marker."""
                 nonlocal executed
-                records.extend(shard_records)
-                executed += len(shard_records)
-                telem.count("harness.shards.executed")
-                telem.count("harness.records.executed", len(shard_records))
-                if collect:
-                    telem.merge(meta.get("telemetry"))
-                    shard_stats.append(meta)
-                if results is not None:
-                    results.append(
-                        *map(job.factory.encode, shard_records),
-                        {
-                            "type": "shard-done",
-                            "shard": shard_id,
-                            "seed": shard_seed(job.seed, shard_id),
-                        },
+                telem.count("harness.windows")
+                per_record = meta["seconds"] / len(task_records)
+                for task in windows[first]:
+                    shard_id, size = task[0], len(task[2])
+                    shard_records = task_records[:size]
+                    task_records = task_records[size:]
+                    shard_meta = dict(
+                        meta, shard=shard_id, records=size,
+                        seconds=per_record * size,
                     )
-                if events is not None:
-                    self._emit_commit(
-                        events, progress, meta, shard_id,
-                        len(shard_records), len(records), len(plan),
-                        executed, time.perf_counter() - exec_started,
-                    )
+                    if shard_id != first:
+                        # The window's telemetry delta rides on its first
+                        # shard, so it is merged exactly once.
+                        shard_meta.pop("telemetry", None)
+                    records.extend(shard_records)
+                    executed += size
+                    telem.count("harness.shards.executed")
+                    telem.count("harness.records.executed", size)
+                    if collect:
+                        telem.merge(shard_meta.get("telemetry"))
+                        shard_stats.append(shard_meta)
+                    if results is not None:
+                        results.append(
+                            *map(job.factory.encode, shard_records),
+                            {
+                                "type": "shard-done",
+                                "shard": shard_id,
+                                "seed": shard_seed(job.seed, shard_id),
+                            },
+                        )
+                    if events is not None:
+                        self._emit_commit(
+                            events, progress, shard_meta, shard_id,
+                            size, len(records), len(plan),
+                            executed, time.perf_counter() - exec_started,
+                        )
 
             try:
                 with telem.span("execute"):
-                    if self.workers == 1 or len(pending) <= 1:
-                        for task in pending:
+                    if self.workers == 1 or len(tasks) <= 1:
+                        for task in tasks:
                             commit(*_run_shard(job.factory, self.workspace, task))
                     else:
-                        self._run_pool(pending, commit)
+                        self._run_pool(tasks, commit)
                 if events is not None:
                     wall = time.perf_counter() - exec_started
                     with telem.span("events"):
@@ -722,14 +806,14 @@ class HarnessRunner:
             build_payload(manifest, telem, shard_stats),
         )
 
-    def _run_pool(self, pending: list[ShardTask], commit) -> None:
+    def _run_pool(self, tasks: list[ShardTask], commit) -> None:
         from repro.exec.pool import acquire
 
         # Workers come from the process-wide warm pool registry
         # (repro.exec.pool): the pool for this job's factory is built
         # once and reused across shards, runs, and campaigns, so it is
         # sized for the job family — the full worker count — not for
-        # the pending remainder of one resume.
+        # the pending remainder of one resume.  Each task is a window.
         pool = acquire(self.job.factory, self.workers, lambda: self.workspace)
-        for shard_id, shard_records, meta in pool.imap_shards(pending):
-            commit(shard_id, shard_records, meta)
+        for first, task_records, meta in pool.imap_shards(tasks):
+            commit(first, task_records, meta)

@@ -96,7 +96,8 @@ class WarmPool:
         )
 
     def imap_shards(self, tasks):
-        """Dispatch shard tasks to the warm workers, unordered."""
+        """Dispatch shard tasks — one shard or a window of consecutive
+        ones each — to the warm workers, unordered."""
         from repro.exec.harness import _pool_shard
 
         self.runs += 1

@@ -9,11 +9,14 @@ invariance live in :class:`~repro.exec.harness.HarnessRunner`; this
 module only contributes the campaign-shaped pieces:
 
 * :class:`CampaignWorkspaceFactory` — builds a :class:`Workspace` from
-  the picklable :class:`~repro.exec.spec.CampaignSpec`, executes each shard
-  through the batch kernel of the spec's backend
+  the picklable :class:`~repro.exec.spec.CampaignSpec`, hands each window
+  of shards to the batch kernel of the spec's backend
   (:mod:`repro.exec.backends`: ``full`` replay, ``golden`` fork-at-fault,
-  or cycle-measuring ``pipeline-golden``), and translates
-  :class:`~repro.exec.records.FaultRecord` to and from the JSONL wire;
+  or cycle-measuring ``pipeline-golden``) in calls of ``batch_size``
+  faults — by default 256 on ``golden``, whose kernel replays the
+  pristine prefix once per call, and one shard elsewhere — and
+  translates :class:`~repro.exec.records.FaultRecord` to and from the
+  JSONL wire;
 * :class:`CampaignRunner`/:class:`CampaignResult` — the stable public
   API and result aggregation.
 
@@ -137,13 +140,27 @@ class CampaignWorkspaceFactory(WorkspaceFactory):
     """The campaign client: spec-derived workspaces, FaultRecord wire."""
 
     spec: CampaignSpec
-    #: Faults per batched-kernel call; ``None`` hands the kernel whole
-    #: shards.  An execution knob like ``workers`` — never serialized
+    #: The job's shard size: a window's records take their shard from
+    #: their index.
+    chunk_size: int = DEFAULT_CHUNK_SIZE
+    #: Faults per batched-kernel call; ``None`` takes the backend's
+    #: default.  An execution knob like ``workers`` — never serialized
     #: into headers, so artifacts stay byte-identical across batch plans.
     batch_size: int | None = None
 
     record_type = "record"
     kind = "campaign results"
+
+    @property
+    def window(self) -> int:
+        """Faults per batched-kernel call: ``batch_size``, else the
+        backend's default, else one shard.  The harness dispatches
+        consecutive shards together up to this many faults."""
+        return (
+            self.batch_size
+            or get_backend(self.spec.backend).batch_size
+            or self.chunk_size
+        )
 
     def build(self) -> Workspace:
         return Workspace.build(self.spec)
@@ -151,21 +168,23 @@ class CampaignWorkspaceFactory(WorkspaceFactory):
     def run_items(
         self, workspace: Workspace, start: int, shard: int, items: list
     ) -> list[FaultRecord]:
-        """Run a shard through the backend's batched kernel.
+        """Run a window through the backend's batched kernel.
 
-        With no ``batch_size`` the whole shard is one batch; otherwise
-        the shard is cut into ``batch_size`` slices.  Either way the
-        records are exactly what batches of one yield — pinned by
-        ``tests/exec/test_scaling_invariants.py``.
+        The window is cut into calls of :attr:`window` faults: one call
+        when the harness grouped whole shards, several when one shard
+        exceeds it.  Either way the records are exactly what batches of
+        one yield — pinned by ``tests/exec/test_scaling_invariants.py``.
         """
-        size = self.batch_size or len(items)
+        size = self.window
         records: list[FaultRecord] = []
-        for base in range(0, len(items), max(size, 1)):
-            chunk = items[base : base + size]
-            for offset, result in enumerate(workspace.run_batch(chunk)):
+        for base in range(0, len(items), size):
+            batch = workspace.run_batch(items[base : base + size])
+            for index, result in enumerate(batch, start + base):
                 obs.count(f"outcome.{result.outcome.value}")
                 records.append(
-                    FaultRecord.from_result(start + base + offset, shard, result)
+                    FaultRecord.from_result(
+                        index, index // self.chunk_size, result
+                    )
                 )
         return records
 
@@ -179,7 +198,7 @@ class CampaignWorkspaceFactory(WorkspaceFactory):
         """Campaign provenance for the run's metrics manifest."""
         return {
             "backend": self.spec.backend,
-            "batch_size": self.batch_size,
+            "batch_size": self.window,
             "workload": self.spec.workload,
             "scale": self.spec.scale,
         }
@@ -200,12 +219,14 @@ class CampaignRunner:
         self.workers = workers
         self.chunk_size = chunk_size
         # Execution knob only — never recorded in artifacts: batch_size
-        # sizes the batched-kernel calls (None = whole shard at once).
+        # sizes the batched-kernel calls (None = the backend's default).
         self.batch_size = batch_size
         # An optional pre-built workspace (a service-tier checkpoint-cache
         # lease) supplies the context and the checkpoint store.
         self._workspace: Workspace | None = workspace
-        self._factory = CampaignWorkspaceFactory(spec, batch_size=batch_size)
+        self._factory = CampaignWorkspaceFactory(
+            spec, chunk_size=chunk_size, batch_size=batch_size
+        )
         validate_plan(workers=workers, chunk_size=chunk_size)
         if batch_size is not None and batch_size < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")

@@ -93,7 +93,7 @@ def _backend(default: str, key: str = "backend", more: str = "") -> Field:
 
 def _chunk(default: int, unit: str) -> Field:
     return Field("chunk_size", "--chunk", default, int, 1,
-                 help=f"{unit} per shard, the unit of distribution and resume")
+                 help=f"{unit} per shard, the unit of commit and resume")
 
 
 def _many(key: str, flag: str, default, help: str, type_=str, metavar="NAME") -> Field:
@@ -107,10 +107,12 @@ SEED = Field("seed", "--seed", 42, int, 0,
 WORKERS = Field("workers", "--workers", 1, int, 1,
                 help="worker processes; 1 runs serially in-process")
 BATCH_SIZE = Field("batch_size", "--batch-size", None, int, 1,
-                   help="faults per batched-kernel call within a shard "
-                        "(default: the whole shard, fastest for the golden "
-                        "backend, which shares the pristine prefix across a "
-                        "batch); an execution knob, never recorded")
+                   help="faults per batched-kernel call; above --chunk a "
+                        "call spans consecutive whole shards, which commit "
+                        "once it completes (default: 256 on golden, whose "
+                        "kernel replays the pristine prefix once per call; "
+                        "one shard on the other backends); an execution "
+                        "knob, never recorded")
 
 #: Local-only run flags of ``repro <kind>``: never part of a payload.
 RESUME = ("--resume", {"action": "store_true",

@@ -210,7 +210,7 @@ _LOCAL = Telemetry(enabled=os.environ.get(ENV_SWITCH, "1") != "0")
 
 
 def local() -> Telemetry:
-    """This process's telemetry accumulator (workers drain it per shard)."""
+    """This process's telemetry accumulator (workers drain it per task)."""
     return _LOCAL
 
 

@@ -121,7 +121,10 @@ def load_artifact(path: str | os.PathLike) -> tuple[str, dict]:
     """
     target = os.fspath(path)
     with open(target, encoding="utf-8") as handle:
-        payload = json.load(handle)
+        try:
+            payload = json.load(handle)
+        except ValueError as error:  # JSONDecodeError, UnicodeDecodeError
+            raise ConfigurationError(f"{target}: not JSON ({error})") from None
     if isinstance(payload, dict) and payload.get("type") == "metrics":
         return "metrics", payload
     if isinstance(payload, dict) and "benchmark" in payload and "results" in payload:

@@ -102,7 +102,8 @@ def render_metrics(payload: dict, path: str | None = None) -> str:
     if backend:
         batch = manifest.get("batch_size")
         lines.append(
-            f"backend: {backend} (batch_size={'shard' if batch is None else batch})"
+            f"backend: {backend}"
+            + (f" (batch_size={batch})" if batch is not None else "")
         )
     lines.append(f"plan: {plan}")
     lines.append(

@@ -6,12 +6,17 @@ replay kernels (``run_batch_golden`` / ``run_batch_pipeline_golden``)
 exist purely for throughput.  This tier pins the property that makes
 them safe to enable by default:
 
-* 1, 2, and 4 workers produce identical sorted JSONL records;
-* batch-of-1, batch-of-5, and whole-shard batches produce identical
-  sorted JSONL records (campaign *and* DSE jobs, all three backends);
+* 1, 2, and 4 workers produce identical sorted JSONL records at the
+  default plan;
+* batches of 1 and 5 faults, windows of one to four whole shards (7,
+  12 and 24 faults), and the backend's default produce identical sorted
+  JSONL records (campaign *and* DSE jobs, all three backends);
 * a reused warm pool produces the same records as a cold one;
 * a campaign killed mid-run resumes correctly under a *different*
-  batch plan — the ``shard-done`` commit protocol is batch-safe.
+  batch plan, and a windowed one killed after any number of shards —
+  on a window boundary or inside a window — resumes to the file an
+  uninterrupted run writes: the ``shard-done`` commit protocol is
+  batch- and window-safe.
 
 ``make scaling-smoke`` runs this file in CI.
 """
@@ -69,6 +74,8 @@ def rig(request, tmp_path_factory):
 class TestWorkerCountInvariance:
     @pytest.mark.parametrize("workers", (1, 2, 4))
     def test_identical_sorted_records(self, rig, workers, tmp_path):
+        """The default plan: on golden, one window serially, windows
+        capped at a worker's share of the faults on a pool."""
         spec, faults, reference = rig
         out = tmp_path / f"w{workers}.jsonl"
         result = CampaignRunner(spec, workers=workers, chunk_size=CHUNK).run(
@@ -79,7 +86,7 @@ class TestWorkerCountInvariance:
 
 
 class TestBatchSizeInvariance:
-    @pytest.mark.parametrize("batch_size", (1, 5, None))
+    @pytest.mark.parametrize("batch_size", (1, 5, 7, 12, 24, None))
     @pytest.mark.parametrize("workers", (1, 2))
     def test_identical_sorted_records(self, rig, workers, batch_size, tmp_path):
         spec, faults, reference = rig
@@ -164,6 +171,64 @@ class TestKillResumeMidBatch:
         assert resumed.complete
         by_index = {entry["index"]: entry for entry in jsonl_records(out)}
         assert [by_index[index] for index in sorted(by_index)] == reference
+
+
+class TestWindowKillResume:
+    """A serial golden run with three-shard windows (18 faults), killed
+    after every number of shards: windows form from the shards the run
+    may execute, so some kills fall inside the uninterrupted plan's
+    first window and one on its boundary."""
+
+    WINDOW = 3 * CHUNK
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        spec = CampaignSpec(
+            source=SOURCE, name="scaling-test", iht_size=4, backend="golden"
+        )
+        runner = CampaignRunner(spec, workers=1, chunk_size=CHUNK)
+        return spec, runner.campaign.random_single_bit(FAULT_COUNT, seed=SEED)
+
+    @pytest.fixture(scope="class")
+    def uninterrupted(self, golden, tmp_path_factory):
+        spec, faults = golden
+        out = tmp_path_factory.mktemp("window") / "uninterrupted.jsonl"
+        CampaignRunner(
+            spec, workers=1, chunk_size=CHUNK, batch_size=self.WINDOW
+        ).run(faults, seed=SEED, out=out)
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("stop", range(1, FAULT_COUNT // CHUNK))
+    def test_resume_under_the_same_plan(self, golden, uninterrupted, stop, tmp_path):
+        spec, faults = golden
+        out = tmp_path / "killed.jsonl"
+        runner = CampaignRunner(
+            spec, workers=1, chunk_size=CHUNK, batch_size=self.WINDOW
+        )
+        partial = runner.run(faults, seed=SEED, out=out, stop_after_shards=stop)
+        assert len(partial.records) == stop * CHUNK
+        assert runner.run(faults, seed=SEED, out=out, resume=True).complete
+        assert out.read_bytes() == uninterrupted
+
+    @pytest.mark.parametrize("stop", range(1, FAULT_COUNT // CHUNK))
+    def test_resume_under_another_window_and_worker_count(
+        self, golden, uninterrupted, stop, tmp_path
+    ):
+        """Two workers with two-shard windows finish the run: the kept
+        prefix is untouched and the file holds the uninterrupted run's
+        lines (pooled windows commit in completion order)."""
+        spec, faults = golden
+        out = tmp_path / "killed.jsonl"
+        CampaignRunner(
+            spec, workers=1, chunk_size=CHUNK, batch_size=self.WINDOW
+        ).run(faults, seed=SEED, out=out, stop_after_shards=stop)
+        kept = out.read_bytes()
+        assert CampaignRunner(
+            spec, workers=2, chunk_size=CHUNK, batch_size=2 * CHUNK
+        ).run(faults, seed=SEED, out=out, resume=True).complete
+        resumed = out.read_bytes()
+        assert resumed.startswith(kept)
+        assert sorted(resumed.splitlines()) == sorted(uninterrupted.splitlines())
 
 
 class TestDseInvariance:

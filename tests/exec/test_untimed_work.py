@@ -8,7 +8,9 @@ scoreboard over the recording's fetch stream behind the cached
 ``baseline_run``, and Table 1 replays the same stream through a fresh
 monitor per IHT size instead of simulating again.  These counts are
 exact, unlike wall-clock time, so a change that puts timing back on a
-cycle-blind path, or a simulation back under Table 1, fails here.
+cycle-blind path, or a simulation back under Table 1, fails here.  So
+does a campaign whose golden kernel replays the pristine prefix once per
+shard again instead of once per window.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from repro.eval.common import baseline_run, workload_recording
 from repro.eval.table1_cycles import run_table1
 from repro.exec import CampaignRunner, CampaignSpec
 from repro.exec import golden
+from repro.exec.harness import DEFAULT_CHUNK_SIZE
+from repro.obs import core as obs
 from repro.pipeline.funcsim import FuncSim, _Scoreboard
 from repro.workloads.suite import WORKLOAD_NAMES
 
@@ -82,3 +86,24 @@ def test_table1_simulates_nothing_once_recorded(issued, monkeypatch):
     monkeypatch.setattr(FuncSim, "__init__", counting)
     assert len(run_table1(scale="tiny").rows) == len(WORKLOAD_NAMES)
     assert built[0] == 0
+
+
+#: Pristine instructions the golden advancer replays per forked fault at
+#: the default plan, for sha-tiny's 512 faults of seed 7: 2.08 when a
+#: 256-fault window is one kernel call, 17.7 when each shard is one.
+PREFIX_PER_FAULT_BOUND = 2.5
+
+
+def prefix_replayed_per_fault(batch_size: int | None) -> float:
+    spec = CampaignSpec(workload="sha", scale="tiny", backend="golden")
+    with obs.scoped(True):
+        runner = CampaignRunner(spec, workers=1, batch_size=batch_size)
+        faults = runner.campaign.random_single_bit(512, seed=7)
+        counters = runner.run(faults, seed=7).telemetry["counters"]
+    return counters["golden.batch.prefix_replayed"] / counters["golden.batch.fork"]
+
+
+def test_window_replays_the_prefix_once():
+    windowed = prefix_replayed_per_fault(None)
+    assert windowed <= PREFIX_PER_FAULT_BOUND
+    assert windowed < prefix_replayed_per_fault(DEFAULT_CHUNK_SIZE)

@@ -7,9 +7,10 @@ check what the next session sees: a resumed results file ends
 byte-identical to the uninterrupted one, and a cut event log or journal
 reads back exactly the entries whose lines survived the cut whole —
 only a line's ``\\n`` may be missing — and, reopened, those entries plus
-the one appended.  A write can also fail outright: for a DSE sweep and
-a multi-file attack grid, the N-th append raises, for every N, and the
-resumed files end byte-identical to the uninterrupted ones.
+the one appended.  A write can also fail outright: for a DSE sweep, a
+campaign whose windows span several shards and a multi-file attack
+grid, the N-th append raises, for every N, and the resumed files end
+byte-identical to the uninterrupted ones.
 """
 
 from contextlib import closing
@@ -118,6 +119,20 @@ class TestFailedWrites:
 
         assert_resumes_after_every_failed_write(
             monkeypatch, run, tmp_path / "sweep.jsonl", lambda out: [out]
+        )
+
+    def test_windowed_campaign(self, tmp_path, monkeypatch):
+        """Windows of three shards: a failed append cuts a window's
+        commits short, and resume re-runs only its uncommitted shards."""
+        spec = CampaignSpec(workload="sha", scale="tiny", backend="golden")
+        runner = CampaignRunner(spec, chunk_size=2, batch_size=6)
+        faults = runner.campaign.random_single_bit(12, seed=42)
+
+        def run(out, resume):
+            runner.run(faults, seed=42, out=out, resume=resume)
+
+        assert_resumes_after_every_failed_write(
+            monkeypatch, run, tmp_path / "campaign.jsonl", lambda out: [out]
         )
 
     def test_attack_grid_with_a_file_per_cell(self, tmp_path, monkeypatch):

@@ -23,6 +23,7 @@ from repro.exec.harness import (
     Job,
     MeasureCache,
     WorkspaceFactory,
+    plan_windows,
     validate_plan,
 )
 from repro.exec.pool import pool_stats, shutdown_pools
@@ -69,6 +70,20 @@ class ToyFactory(WorkspaceFactory):
 
     def decode(self, data):
         return ToyRecord(data["index"], data["shard"], data["value"])
+
+
+@dataclass(slots=True)
+class WindowedToyFactory(ToyFactory):
+    """Takes up to 12 items per task, each record stamped with its own
+    shard."""
+
+    window = 12
+
+    def run_items(self, workspace, start, shard, items):
+        return [
+            self.run_item(workspace, index, index // CHUNK, item)
+            for index, item in enumerate(items, start)
+        ]
 
 
 def make_job(chunk_size=CHUNK, seed=SEED, items=None):
@@ -223,6 +238,45 @@ class TestValidation:
             make_job(chunk_size=0)
         with pytest.raises(ConfigurationError):
             validate_plan(workers=1, chunk_size=-3)
+
+
+class TestPlanWindows:
+    """Windows: runs of consecutive whole shards, at least one each, no
+    larger than the window or, on a pool, a worker's share."""
+
+    def shards(self, *ids):
+        plan = make_job().shards()  # shards of 5, 5, 5, 5, 3 items
+        return [plan[shard_id] for shard_id in ids]
+
+    def ids(self, windows):
+        return [[task[0] for task in window] for window in windows]
+
+    @pytest.mark.parametrize("window,workers,expected", [
+        (None, 1, [[0], [1], [2], [3], [4]]),
+        (4, 1, [[0], [1], [2], [3], [4]]),  # a shard above the window
+        (10, 1, [[0, 1], [2, 3], [4]]),
+        (100, 1, [[0, 1, 2, 3, 4]]),
+        (100, 2, [[0, 1], [2, 3], [4]]),  # at most ceil(23 / 2) = 12
+        (100, 5, [[0], [1], [2], [3], [4]]),
+    ])
+    def test_grouping(self, window, workers, expected):
+        windows = plan_windows(self.shards(0, 1, 2, 3, 4), window, workers)
+        assert self.ids(windows) == expected
+
+    def test_a_committed_shard_splits_a_window(self):
+        """Resume can leave gaps: a window never spans one."""
+        windows = plan_windows(self.shards(0, 2, 3), 100, 1)
+        assert self.ids(windows) == [[0], [2, 3]]
+
+    def test_windowed_job_matches_one_shard_tasks(self, tmp_path):
+        """A toy factory with a window writes the same file."""
+        reference = tmp_path / "reference.jsonl"
+        HarnessRunner(make_job()).run(out=reference)
+        job = make_job()
+        job.factory = WindowedToyFactory()
+        out = tmp_path / "windowed.jsonl"
+        HarnessRunner(job).run(out=out)
+        assert out.read_bytes() == reference.read_bytes()
 
 
 class TestMeasureCache:

@@ -108,6 +108,7 @@ class TestCampaignMetrics:
         assert manifest["total"] == FAULT_COUNT
         assert manifest["seed"] == SEED
         assert manifest["chunk_size"] == CHUNK
+        assert manifest["batch_size"] == 256  # the golden backend's default
         assert manifest["workers"] == 1
         assert manifest["fingerprint"]
         assert manifest["out"] == "campaign.jsonl"
@@ -130,6 +131,7 @@ class TestCampaignMetrics:
         _result, payload, _path = campaign_run
         counters = payload["telemetry"]["counters"]
         assert counters["harness.records.executed"] == FAULT_COUNT
+        assert counters["harness.windows"] == 1  # every shard in one window
         assert counters["golden.batch.fork"] == FAULT_COUNT
         assert sum(
             count for name, count in counters.items()
@@ -140,7 +142,7 @@ class TestCampaignMetrics:
         _result, payload, path = campaign_run
         text = render_metrics(payload, path=str(path))
         assert "campaign results: 24 items" in text
-        assert "backend: golden" in text
+        assert "backend: golden (batch_size=256)" in text
         assert "coverage:" in text
         assert "golden.batch.fork" in text
         assert "shard    0" in text

@@ -13,6 +13,7 @@ only promise sorted-record equality — the same contract
 ``tests/exec/test_scaling_invariants.py`` pins for worker counts).
 """
 
+import json
 import os
 
 import pytest
@@ -22,6 +23,7 @@ from repro.exec.pool import shutdown_pools
 from repro.obs import core as obs
 from repro.obs.events import events_path
 from repro.obs.metrics import metrics_path
+from repro.obs.schema import validate_metrics
 
 SOURCE = """
 main:   li $t0, 6
@@ -109,6 +111,41 @@ class TestCampaignNeutrality:
         run_campaign(reference, telemetry=False)
         run_campaign(batched, telemetry=True, batch_size=5)
         assert read_bytes(reference) == read_bytes(batched)
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_windowed_run(self, tmp_path, workers):
+        """Two-shard windows, telemetry on and off, write the file that
+        one-shard tasks write; with telemetry on, every shard keeps one
+        schema-valid ``shards[]`` entry and each window's delta is
+        merged exactly once."""
+        reference = tmp_path / "ref.jsonl"
+        run_campaign(reference, telemetry=False, batch_size=CHUNK)
+        files = {}
+        for telemetry in (True, False):
+            shutdown_pools()
+            files[telemetry] = tmp_path / f"window-{int(telemetry)}.jsonl"
+            run_campaign(
+                files[telemetry], telemetry=telemetry, workers=workers,
+                batch_size=2 * CHUNK,
+            )
+            if workers == 1:
+                assert read_bytes(files[telemetry]) == read_bytes(reference)
+            assert line_set(files[telemetry]) == line_set(reference)
+        assert not os.path.exists(metrics_path(files[False]))
+        with open(metrics_path(files[True])) as handle:
+            payload = json.load(handle)
+        assert validate_metrics(payload) == []
+        counters = payload["telemetry"]["counters"]
+        assert counters["harness.windows"] == FAULT_COUNT // (2 * CHUNK)
+        shards = payload["shards"]
+        assert sorted(entry["shard"] for entry in shards) == [0, 1, 2, 3]
+        assert [entry["records"] for entry in shards] == [CHUNK] * 4
+        assert sum(
+            entry.get("telemetry", {}).get("counters", {}).get(
+                "golden.batch.fork", 0
+            )
+            for entry in shards
+        ) == counters["golden.batch.fork"] == FAULT_COUNT
 
     def test_kill_resume_across_the_switch(self, tmp_path):
         """A run killed with telemetry ON and resumed with it OFF (and

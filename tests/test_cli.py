@@ -174,6 +174,43 @@ class TestResumeRefusal:
         assert json.loads(out.read_text().splitlines()[0])["type"] == "header"
 
 
+class TestNotJsonArtifacts:
+    """Every command that reads a JSON artifact exits 1 with one
+    ``error:`` line, never a traceback, whatever the file holds."""
+
+    CONTENTS = {
+        "text": b"first line\nsecond line\n",
+        "empty": b"",
+        "binary": bytes(range(256)),
+    }
+
+    @pytest.fixture(params=["text", "empty", "binary", "directory", "missing"])
+    def bad(self, request, tmp_path):
+        path = tmp_path / "artifact.json"
+        if request.param == "directory":
+            path.mkdir()
+        elif request.param in self.CONTENTS:
+            path.write_bytes(self.CONTENTS[request.param])
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["coverage", "check", "{bad}"],
+        ["coverage", "diff", "{bad}"],
+        ["coverage", "diff", "{good}", "--against", "{bad}"],
+        ["stats", "diff", "{bad}", "{bad}"],
+    ], ids=["coverage-check", "coverage-diff", "coverage-diff-against",
+            "stats-diff"])
+    def test_one_error_line(self, argv, bad, tmp_path, capsys):
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({"type": "coverage"}))
+        argv = [arg.format(bad=bad, good=good) for arg in argv]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and "error:" in err
+
+
 class TestVersion:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
