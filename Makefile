@@ -6,7 +6,8 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test bench bench-smoke perf-smoke campaign-smoke attack-smoke \
 	dse-smoke harness-smoke scaling-smoke obs-smoke coverage-smoke \
-	trace-smoke service-smoke perfbench-selftest bench-gate clean
+	trace-smoke service-smoke examples-smoke perfbench-selftest bench-gate \
+	clean
 
 # Regression threshold (percent) for `make bench-gate`.
 BENCH_GATE ?= 25
@@ -174,6 +175,13 @@ trace-smoke:  ## background campaign -> live follow -> trace export -> self-diff
 # `repro campaign` run.  See docs/SERVICE.md.
 service-smoke:  ## serve -> two tenants -> cache hit -> kill -9 -> resume, byte-identical
 	$(PYTHON) -m pytest tests/service/test_smoke_cli.py -q
+
+# examples-smoke runs the two quick examples as a reader would; it fails
+# unless the quickstart's clean run still reports an integer cycle count.
+examples-smoke:  ## examples/quickstart.py and examples/tamper_detection.py
+	out=$$($(PYTHON) examples/quickstart.py) && echo "$$out" && \
+	    echo "$$out" | grep -Eq 'in [0-9]+ cycles'
+	$(PYTHON) examples/tamper_detection.py
 
 # perfbench-selftest runs the repo benchmark's own tests (a tiny pass of
 # every workload, tampered outputs must fail).  The benchmark's probes

@@ -2,17 +2,22 @@
 
 Not a paper artifact — these track the performance of the substrate itself
 (instructions/second of each engine, hash/CAM kernel throughput), which is
-what bounds how large an evaluation sweep can get.  Each test records the
+what bounds how large an evaluation sweep can get.  ``FuncSim`` is timed
+both ways: alone (what the fault kernels and the recording run) and
+through ``run_timed`` (the default ``--engine func`` CLI path), with the
+share of that call its cycle replay takes.  Each test records the
 seconds of one call from pytest-benchmark's timing (its fastest round:
 other tenants of a shared host only ever slow a call down) and the rate
 of the work that call does.
 """
 
+import timeit
+
 from repro.cic.hashes import get_hash
 from repro.cic.iht import InternalHashTable
 from repro.isa.encoding import decode
 from repro.pipeline.cpu import PipelineCPU
-from repro.pipeline.funcsim import FuncSim
+from repro.pipeline.funcsim import FuncSim, run_timed
 from repro.workloads.suite import build, workload_inputs
 
 
@@ -40,6 +45,27 @@ def test_funcsim_throughput(benchmark, record_bench):
     benchmark.extra_info["instructions"] = result.instructions
     record_rate(benchmark, record_bench, instructions=result.instructions)
     assert result.exit_code == 0
+
+
+def test_run_timed_throughput(benchmark, record_bench):
+    program = build("sha", "tiny")
+    inputs = workload_inputs("sha", "tiny")
+
+    def plain():
+        return FuncSim(program, inputs=inputs).run()
+
+    def timed():
+        return run_timed(FuncSim(program, inputs=inputs))
+
+    result = benchmark(timed)
+    # Best of ten each, interleaved so both see the same host load.
+    best = {plain: float("inf"), timed: float("inf")}
+    for _ in range(10):
+        for run in best:
+            best[run] = min(best[run], timeit.timeit(run, number=1))
+    record_rate(benchmark, record_bench, instructions=result.instructions)
+    record_bench(replay_share=round(1 - best[plain] / best[timed], 3))
+    assert result.cycles == PipelineCPU(program, inputs=inputs).run().cycles
 
 
 def test_pipeline_throughput(benchmark, record_bench):

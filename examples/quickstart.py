@@ -7,7 +7,7 @@ This walks the library's whole pipeline in ~40 lines:
 2. load it under the OS-managed monitoring scheme (the loader computes the
    full hash table from the binary),
 3. run it on the functional simulator with the Code Integrity Checker
-   attached,
+   attached, timed by replaying the pipeline's cycle model over the run,
 4. flip one bit of one instruction in memory — the attack/soft-error model
    of the paper — and watch the monitor terminate the program.
 
@@ -17,7 +17,7 @@ Run:  python examples/quickstart.py
 from repro.asm import assemble
 from repro.errors import MonitorViolation
 from repro.osmodel import load_process
-from repro.pipeline import FuncSim
+from repro.pipeline import FuncSim, run_timed
 
 SOURCE = """
 main:   li   $t0, 10          # sum the numbers 1..10
@@ -40,7 +40,7 @@ def main() -> None:
 
     # --- clean, monitored run -------------------------------------------
     process = load_process(program, iht_size=8)  # the paper's CIC-8 config
-    result = FuncSim(program, monitor=process.monitor).run()
+    result = run_timed(FuncSim(program, monitor=process.monitor))
     stats = result.monitor_stats
     print(f"clean run: printed {result.console!r} in {result.cycles} cycles")
     print(f"  monitor: {stats.lookups} block checks, {stats.hits} hits, "

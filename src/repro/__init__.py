@@ -5,8 +5,9 @@ Processors" (DATE 2007).
 The package provides, end to end:
 
 * a PISA-like 32-bit ISA with an assembler toolchain (:mod:`repro.asm`),
-* two cross-validated simulators — a functional ISS with an analytical
-  cycle model and a cycle-level 5-stage pipeline (:mod:`repro.pipeline`),
+* two cross-validated simulators — a functional ISS whose cycles an
+  analytical model replays, and a cycle-level 5-stage pipeline
+  (:mod:`repro.pipeline`),
 * the paper's Code Integrity Checker at two fidelity levels: a behavioural
   model and an executable-microoperation model driven by the literal text
   of the paper's Figures 3 and 4 (:mod:`repro.cic`, :mod:`repro.micro`),
@@ -23,11 +24,12 @@ The package provides, end to end:
 Quick start::
 
     from repro import assemble, load_process, FuncSim
+    from repro.pipeline import run_timed
 
     program = assemble(open("program.s").read())
     process = load_process(program, iht_size=8)
-    result = FuncSim(program, monitor=process.monitor).run()
-    print(result.console, result.monitor_stats)
+    result = run_timed(FuncSim(program, monitor=process.monitor))
+    print(result.console, result.cycles, result.monitor_stats)
 """
 
 from repro.asm import assemble

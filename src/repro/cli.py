@@ -125,7 +125,7 @@ from repro.obs import core as obs_core
 from repro.obs.log import log, set_level
 from repro.osmodel.loader import load_process
 from repro.pipeline.cpu import PipelineCPU
-from repro.pipeline.funcsim import FuncSim
+from repro.pipeline.funcsim import FuncSim, run_timed
 from repro.utils.atomic import write_atomic
 from repro.workloads.suite import SCALES, WORKLOAD_NAMES, build, workload_inputs
 
@@ -166,10 +166,12 @@ def _maybe_profile(args: argparse.Namespace, simulator):
 
 
 def _run_profiled(args: argparse.Namespace, simulator):
-    """Run *simulator*, printing the phase table even when the run raises
-    (a ``monitor --flip`` violation still deserves its breakdown)."""
+    """Run *simulator*, timed, printing the phase table even when the run
+    raises (a ``monitor --flip`` violation still deserves its breakdown)."""
     profiler = _maybe_profile(args, simulator)
     try:
+        if args.engine == "func":
+            return run_timed(simulator)
         return simulator.run()
     finally:
         if profiler is not None:
@@ -197,9 +199,8 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     simulator = _engine(args.engine)(
         program, monitor=process.monitor, inputs=args.input or None
     )
-    for spec in args.flip or []:
-        address_text, _, bit_text = spec.partition(":")
-        simulator.state.memory.flip_bit(int(address_text, 0), int(bit_text))
+    for address, bit in args.flip or []:
+        simulator.state.memory.flip_bit(address, bit)
     # A MonitorViolation exits 2 via main().
     result = _run_profiled(args, simulator)
     stats = result.monitor_stats
@@ -211,6 +212,20 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         f"OS cycles {stats.os_cycles}"
     )
     return result.exit_code
+
+
+def _flip_spec(value: str) -> tuple[int, int]:
+    """``--flip ADDR:BIT``: a 32-bit word address and a bit index 0-31."""
+    address, _, bit = value.partition(":")
+    try:
+        address, bit = int(address, 0), int(bit)
+    except ValueError:
+        address = bit = -1
+    if not (0 <= address <= 0xFFFFFFFF and 0 <= bit < 32):
+        raise argparse.ArgumentTypeError(
+            f"expected ADDR:BIT (a 32-bit address, BIT 0-31), got {value!r}"
+        )
+    return address, bit
 
 
 def cmd_workload(args: argparse.Namespace) -> int:
@@ -712,7 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
     monitor_command.add_argument("file")
     monitor_command.add_argument("--policy", default="lru_half")
     monitor_command.add_argument(
-        "--flip", action="append", metavar="ADDR:BIT",
+        "--flip", type=_flip_spec, action="append", metavar="ADDR:BIT",
         help="flip a bit of a stored word before running (repeatable)",
     )
     monitor_command.set_defaults(handler=cmd_monitor)

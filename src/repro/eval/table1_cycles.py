@@ -8,7 +8,7 @@ for comparison.
 Every count replays the workload's one pristine recording, with no
 monitor and with a fresh one per IHT size
 (:meth:`~repro.exec.golden.PristineRecording.cycles`): exactly what a
-timed monitored simulation would count, with no simulation.
+timed monitored run (``run_timed``) would count, with no simulation.
 
 Scale note (EXPERIMENTS.md discusses this in full): the paper's MiBench/
 PISA builds average ~100 cycles between flow-control instructions

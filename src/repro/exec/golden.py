@@ -19,7 +19,7 @@ holds what the functional and the cycle-level backend
    run executes identically under every monitor configuration; the
    monitor changes only timing, through OS miss handling.
    :func:`pristine_recording` therefore records the :class:`FuncSim` run
-   once per program and inputs in a process, *untimed* and with no
+   once per program and inputs in a process, with no
    monitor, so it depends only on its memo key: a
    :class:`PristineRecording` of simulator checkpoints and the fetch
    stream with its redirect points, from which cycles with or without a
@@ -40,8 +40,8 @@ holds what the functional and the cycle-level backend
    execution proceeds live through the shared
    :func:`~repro.faults.campaign.classify_run` tail.  The functional
    kernel is :func:`run_batch_golden`; a single fault is a batch of one.
-   Its simulators run untimed, like the store's checkpoints they
-   restore.  A campaign hands it a window of consecutive shards, 256
+   No outcome reads cycles, so nothing on this path replays them.
+   A campaign hands it a window of consecutive shards, 256
    faults by default (:mod:`repro.exec.harness`), so one pass of its
    advancer over the pristine run serves every fault of the window.
 
@@ -86,8 +86,7 @@ from repro.faults.campaign import (
     split_perturbation,
 )
 from repro.isa.properties import CONTROL_FLOW
-from repro.pipeline.funcsim import FuncSim, RunResult, _Scoreboard
-from repro.pipeline.hazards import CycleModel
+from repro.pipeline.funcsim import FuncSim, RunResult, replay_cycles
 from repro.pipeline.memory import Memory
 from repro.pipeline.trace import BlockTrace
 
@@ -170,20 +169,6 @@ class _StreamRecorder:
         return ordinals
 
 
-class _RedirectLog:
-    """Redirect hook of an untimed recording: the fetch ordinal of every
-    instruction that redirects fetch (a taken branch or any jump)."""
-
-    __slots__ = ("_simulator", "ordinals")
-
-    def __init__(self, simulator: FuncSim) -> None:
-        self._simulator = simulator
-        self.ordinals = array("I")
-
-    def __call__(self) -> None:
-        self.ordinals.append(self._simulator.fetch_hook.fetches)
-
-
 class _ReadRecordingMemory(Memory):
     """Memory that records data accesses landing inside the text segment.
 
@@ -263,7 +248,7 @@ class GoldenStore:
     golden_cycles: int | None = None
     #: The recorded run: console, exit code, instruction count and block
     #: trace.  Its cycles are the recording configuration's on the
-    #: pipeline and ``None`` on the untimed :class:`FuncSim`.
+    #: pipeline and ``None`` on :class:`FuncSim`.
     result: RunResult | None = None
     #: Fetch counts of ``checkpoints``, for bisection.
     _marks: list[int] = field(default_factory=list)
@@ -410,8 +395,7 @@ class PristineRecording:
     attached: no monitor changes what the run executes, so nothing here
     depends on one."""
 
-    #: An untimed :class:`FuncSim` run: its checkpoints carry simulator
-    #: state only.
+    #: A :class:`FuncSim` run: its checkpoints carry simulator state only.
     run: Recording
     #: The fetch stream: per executed instruction, an index into ``ops``.
     stream: array
@@ -421,36 +405,32 @@ class PristineRecording:
     ops: list[tuple]
 
     def cycles(self, checker=None) -> int:
-        """The cycles of a timed :class:`FuncSim` run with *checker*
-        attached, or with no monitor.
+        """The cycles :func:`~repro.pipeline.funcsim.run_timed` gives the
+        program with *checker* attached, or with no monitor: the stream
+        replayed, driving *checker* as a live run drives its monitor.
+        *checker* ends where that run leaves it, statistics included, and
+        raises where it would."""
 
-        Replays the scoreboard over the stream and drives *checker* as
-        that run drives its monitor: the fold, at a block end the OS
-        charge, the issue, and the squash after a redirect.  *checker*
-        ends where that run leaves it, statistics included, and raises
-        where it would.
-        """
-        scoreboard = _Scoreboard(CycleModel())
-        ops = self.ops
-        for op in self.stream:
-            address, word, instruction, ends_block, redirected = ops[op]
-            extra = 0
-            if checker is not None:
-                checker.on_instruction(address, word)
-                if ends_block:
-                    extra = checker.on_block_end(address)
-            scoreboard.issue(instruction, extra)
-            if redirected:
-                scoreboard.redirect()
-        return scoreboard.total_cycles()
+        def steps():
+            ops = self.ops
+            for op in self.stream:
+                address, word, instruction, ends_block, redirected = ops[op]
+                extra = 0
+                if checker is not None:
+                    checker.on_instruction(address, word)
+                    if ends_block:
+                        extra = checker.on_block_end(address)
+                yield instruction, extra, redirected
+
+        return replay_cycles(steps())
 
 
 def pristine_recording(
     context: CampaignContext, interval: int | None = None
 ) -> PristineRecording:
     """The process's one recording of *context*'s program and inputs (at
-    *interval*): an untimed :class:`FuncSim` run with no monitor, so the
-    recording depends on nothing its memo key leaves out.
+    *interval*): a :class:`FuncSim` run with no monitor, so the recording
+    depends on nothing its memo key leaves out.
 
     Costs one run, bounded by the simulator's own cap since the budget
     derives from it, the snapshot copies, and one pass that indexes the
@@ -460,19 +440,22 @@ def pristine_recording(
     def record() -> PristineRecording:
         decoded: dict = {}
         simulator = FuncSim(
-            context.program,
-            inputs=context.inputs,
-            decode_cache=decoded,
-            timed=False,
+            context.program, inputs=context.inputs, decode_cache=decoded
         )
         # Only timing shows a taken branch to the next instruction, so
-        # the untimed run notes every redirect for the cycle replay.
-        redirects = _RedirectLog(simulator)
-        simulator._on_redirect = redirects
+        # the run notes the fetch ordinal of every redirect (a taken
+        # branch or any jump) for the cycle replay.
+        redirects = array("I")
+
+        def note(extra: int, taken: bool) -> None:
+            if taken:
+                redirects.append(simulator.fetch_hook.fetches)
+
+        simulator._on_block_end = note
         run = record_store(simulator, interval, "golden")
         recorder = simulator.fetch_hook
         redirected = bytearray(recorder.fetches + 1)
-        for ordinal in redirects.ordinals:
+        for ordinal in redirects:
             redirected[ordinal] = 1
         # Number each distinct (address, word, redirected) in order of
         # first fetch; every word fetched is in the decode cache by now.
@@ -510,9 +493,8 @@ def overlay_monitor(
     Replays a fresh checker and its OS handler over the fetch stream, in
     the order :meth:`FuncSim.run` drives them, and checkpoints them
     beside the simulator state of every pristine checkpoint, which no
-    monitor changes on an untimed run.  The stream runs to its end, so a
-    monitor that would stop the pristine run raises here as it would in
-    a monitored run.
+    monitor changes.  The stream runs to its end, so a monitor that would
+    stop the pristine run raises here as it would in a monitored run.
     """
     checker = warm.fresh_checker(context)
     handler = checker.handler
@@ -665,7 +647,6 @@ def run_batch_golden(store: GoldenStore, faults) -> list[FaultResult]:
         monitor=store.warm.fresh_checker(context),
         max_instructions=context.instruction_budget,
         decode_cache=store.warm.decode_cache,
-        timed=False,
     )
     position = -1  # the advancer's instruction count; -1 until restored
     runner = FuncSim(
@@ -674,7 +655,6 @@ def run_batch_golden(store: GoldenStore, faults) -> list[FaultResult]:
         max_instructions=context.instruction_budget,
         decode_cache=store.warm.decode_cache,
         hang_detector=context.golden_instructions,
-        timed=False,
     )
 
     micro: Checkpoint | None = None

@@ -369,7 +369,7 @@ def run_one(
     A :class:`~repro.faults.models.FetchProbe` wraps the fetch path to
     time the first corrupted delivery, giving detected outcomes their
     detection latency in instructions.  No outcome depends on cycles, so
-    the simulator runs untimed.
+    nothing replays them.
 
     *warm* (optional) supplies a per-worker :class:`WarmProcess`, which
     skips the per-injection FHT rebuild and shares the decode cache —
@@ -388,7 +388,6 @@ def run_one(
         max_instructions=context.instruction_budget,
         decode_cache=warm.decode_cache,
         hang_detector=context.golden_instructions,
-        timed=False,
     )
     for part in persistents:
         part.apply_to_memory(simulator.state.memory)

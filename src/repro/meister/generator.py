@@ -33,7 +33,7 @@ from repro.micro.parser import parse_microprogram
 from repro.osmodel.handler import OSExceptionHandler
 from repro.osmodel.policies import get_policy
 from repro.pipeline.cpu import PipelineCPU
-from repro.pipeline.funcsim import FuncSim
+from repro.pipeline.funcsim import FuncSim, run_timed
 from repro.pipeline.hazards import CycleModel
 
 
@@ -110,8 +110,9 @@ class GeneratedProcessor:
         raise ConfigurationError(f"unknown engine {engine!r}")
 
     def run(self, program: Program, engine: str = "func", **kwargs):
-        """Convenience: build a simulator and run the program."""
-        return self.make_simulator(program, engine=engine, **kwargs).run()
+        """Convenience: build a simulator and run the program, timed."""
+        simulator = self.make_simulator(program, engine=engine, **kwargs)
+        return run_timed(simulator) if engine == "func" else simulator.run()
 
     # ------------------------------------------------------------------
     # Synthesis output

@@ -48,13 +48,28 @@ def _meta(pid: int, tid: int, kind: str, name: str) -> dict:
 
 
 def _timeline_events(events: list[dict]) -> list[dict]:
-    """The real-timeline track: one slice per shard, instants, counters."""
+    """The real-timeline track: one slice per shard, instants, counters.
+
+    A window's shards commit together, each with its share of the
+    window's time, so each worker's slices lie end to end: a slice ends
+    at its commit or where the next one on its track starts, if earlier.
+    """
     if not events:
         return []
     t0 = min(event["t"] for event in events)
+    starts: dict[int, float] = {}  # by event index
+    track_start: dict[int, float] = {}  # by worker
+    for index in range(len(events) - 1, -1, -1):
+        event = events[index]
+        if event["type"] == "shard-committed":
+            worker = int(event.get("worker", 0))
+            end = (event["t"] - t0) * _MICROS
+            end = min(end, track_start.get(worker, end))
+            duration = float(event.get("seconds", 0.0)) * _MICROS
+            starts[index] = track_start[worker] = end - duration
     out = [_meta(1, 0, "process_name", "run timeline")]
     workers_seen: set[int] = set()
-    for event in events:
+    for index, event in enumerate(events):
         ts = max((event["t"] - t0) * _MICROS, 0.0)
         kind = event["type"]
         if kind == "shard-committed":
@@ -67,7 +82,7 @@ def _timeline_events(events: list[dict]) -> list[dict]:
                 "name": f"shard {event.get('shard')}",
                 "cat": "shard",
                 "ph": "X",
-                "ts": max(ts - duration, 0.0),
+                "ts": max(starts[index], 0.0),
                 "dur": duration,
                 "pid": 1,
                 "tid": worker,

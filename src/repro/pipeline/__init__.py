@@ -3,9 +3,9 @@
 Two simulators execute the same ISA with the same architected semantics:
 
 * :class:`~repro.pipeline.funcsim.FuncSim` — a functional instruction-set
-  simulator with an analytical cycle model (a scoreboard replicating the
-  5-stage pipeline's hazard rules).  Fast; the golden model for differential
-  tests and the engine behind large evaluation sweeps.
+  simulator, timed by replaying what it executed through a scoreboard of
+  the 5-stage pipeline's hazard rules (``run_timed``).  Fast; the golden
+  model for differential tests and the engine behind large sweeps.
 * :class:`~repro.pipeline.cpu.PipelineCPU` — a cycle-level, stage-latch
   simulator of the single-issue in-order pipeline that executes the
   monitoring *microoperations* embedded in the IF and ID stages, exactly as
@@ -19,7 +19,7 @@ between them is a bug the differential tests catch.
 """
 
 from repro.pipeline.cpu import PipelineCPU
-from repro.pipeline.funcsim import FuncSim, RunResult
+from repro.pipeline.funcsim import FuncSim, RunResult, run_timed
 from repro.pipeline.hazards import CycleModel
 from repro.pipeline.memory import Memory
 from repro.pipeline.state import ArchState
@@ -34,4 +34,5 @@ __all__ = [
     "Memory",
     "PipelineCPU",
     "RunResult",
+    "run_timed",
 ]

@@ -23,8 +23,9 @@ and EX reads) falls out naturally, and only the EX/MEM→EX and EX/MEM→ID
 bypasses need explicit modelling.
 
 Cycle accounting is asserted (by the differential test suite) to equal the
-analytical scoreboard of :class:`~repro.pipeline.funcsim.FuncSim` exactly,
-instruction for instruction, on every workload.
+analytical scoreboard replayed over a :class:`~repro.pipeline.funcsim.FuncSim`
+run (:func:`~repro.pipeline.funcsim.run_timed`) exactly, instruction for
+instruction, on every workload.
 """
 
 from __future__ import annotations

@@ -1,11 +1,13 @@
-"""Functional instruction-set simulator with an analytical cycle model.
+"""Functional instruction-set simulator, timed by a scoreboard replay.
 
 ``FuncSim`` executes instructions one at a time against the architected
-state, while a scoreboard replays the 5-stage pipeline's timing exactly.
-It is the golden model: the cycle-level
-:class:`~repro.pipeline.cpu.PipelineCPU` must produce the same final state,
-console output, block trace, *and cycle count* — asserted by the
-differential tests.
+state and keeps no timing.  :func:`replay_cycles` replays the 5-stage
+pipeline's timing exactly over what a run executed: :func:`run_timed`
+feeds it a live run, :meth:`repro.exec.golden.PristineRecording.cycles`
+the recorded fetch stream.  Together they are the golden model: the
+cycle-level :class:`~repro.pipeline.cpu.PipelineCPU` must produce the same
+final state, console output, block trace, *and cycle count* — asserted by
+the differential tests.
 
 The scoreboard keeps two timelines per instruction, mirroring the stage
 machine:
@@ -25,31 +27,17 @@ A monitor object (usually :class:`repro.cic.checker.CodeIntegrityChecker`)
 may be attached; it observes fetched words and block ends *at the ID stage,
 before the instruction executes*, exactly like the pipeline.
 
-Timing is optional.  An *untimed* simulator (``timed=False``) builds no
-scoreboard: it executes the same instructions and drives the monitor the
-same way, but reports ``cycles=None`` and snapshots no timing state.  In
-the paper only Table 1's overhead reads cycles, so the timed default
-serves ``repro run|monitor|workload`` and the differential tests against
-the pipeline.  Every path that only reads what the program did runs
-untimed: the pristine recording the golden stores fork from, both
-functional fault kernels (the ``golden`` batch kernel and ``run_one``,
-the ``full`` backend) and workload verification.  Table 1's cycles, with
-and without a monitor, come from replaying this scoreboard over the
-recording's fetch stream
-(:meth:`repro.exec.golden.PristineRecording.cycles`).
+Only Table 1's overhead reads cycles in the paper; the recording, both
+functional fault kernels and workload verification replay none.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Callable, Iterable, Protocol
 
-from repro.errors import (
-    BudgetExceeded,
-    ConfigurationError,
-    MemoryAccessError,
-    SimulationError,
-)
+from repro.errors import BudgetExceeded, MemoryAccessError, SimulationError
 from repro.asm.program import Program
 from repro.pipeline import semantics
 from repro.pipeline.hazards import CycleModel
@@ -67,9 +55,12 @@ from repro.pipeline.trace import BlockTrace
 from repro.isa.encoding import decode
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Mnemonic
-from repro.isa.properties import BRANCHES, INDIRECT_JUMPS, is_control_flow
+from repro.isa.properties import BRANCHES, CONTROL_FLOW, INDIRECT_JUMPS
 
 FetchHook = Callable[[int, int], int]
+
+#: Instructions :func:`run_timed` runs between replays, bounding what it holds.
+TIMED_SLICE = 1 << 16
 
 
 class Monitor(Protocol):
@@ -86,7 +77,7 @@ class Monitor(Protocol):
 class RunResult:
     """Everything a finished (or paused) simulation reports."""
 
-    #: ``None`` when the simulator ran untimed.
+    #: ``None`` from :meth:`FuncSim.run`; :func:`run_timed` fills it.
     cycles: int | None
     instructions: int
     exit_code: int
@@ -122,8 +113,8 @@ class _Scoreboard:
     last_id: int = 0
     last_issue: int = 0
 
-    def issue(self, instruction: Instruction, monitor_extra: int = 0) -> int:
-        """Advance the timeline; return the instruction's (pre-penalty) id_t."""
+    def issue(self, instruction: Instruction, monitor_extra: int = 0) -> None:
+        """Advance the timeline by one instruction."""
         model = self.model
         id_t = self.fetch_ready
         if self.prev_issue > id_t:
@@ -174,7 +165,6 @@ class _Scoreboard:
         self.prev_issue = issue_t
         self.last_id = id_used
         self.last_issue = issue_t
-        return id_t
 
     def redirect(self) -> None:
         """A taken control transfer squashes the in-flight fetch slot."""
@@ -184,32 +174,22 @@ class _Scoreboard:
         """Cycles until the last issued instruction completes WB."""
         return self.last_issue + self.model.depth - 3
 
-    def capture(self) -> tuple:
-        """Immutable copy of every timeline register (for snapshots)."""
-        return (
-            tuple(self.avail_id),
-            tuple(self.load_guard),
-            self.hilo_commit,
-            self.ex_free,
-            self.prev_issue,
-            self.fetch_ready,
-            self.last_id,
-            self.last_issue,
-        )
 
-    def restore(self, captured: tuple) -> None:
-        (
-            avail_id,
-            load_guard,
-            self.hilo_commit,
-            self.ex_free,
-            self.prev_issue,
-            self.fetch_ready,
-            self.last_id,
-            self.last_issue,
-        ) = captured
-        self.avail_id = list(avail_id)
-        self.load_guard = list(load_guard)
+def replay_cycles(
+    steps: Iterable[tuple[Instruction, int, int]],
+    cycle_model: CycleModel | None = None,
+) -> int:
+    """The cycles of *steps* from an empty pipeline: the scoreboard's
+    one driver.  A step per executed instruction, in order, is
+    ``(instruction, OS cycles charged at its ID stage, redirected)``."""
+    scoreboard = _Scoreboard(cycle_model or CycleModel())
+    issue = scoreboard.issue
+    redirect = scoreboard.redirect
+    for instruction, extra, redirected in steps:
+        issue(instruction, extra)
+        if redirected:
+            redirect()
+    return scoreboard.total_cycles()
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,32 +197,29 @@ class FuncSimSnapshot:
     """A paused :class:`FuncSim` at an instruction boundary.
 
     Contains everything a fresh simulator needs to continue the run
-    bit-for-bit: architected state, syscall progress, the scoreboard's
-    timing registers (``None`` from an untimed simulator, which only an
-    untimed simulator restores), the open basic block, and the trace so
-    far.
+    bit-for-bit: architected state, syscall progress, the open basic
+    block, and the trace so far.
     """
 
     instructions: int
     arch: ArchSnapshot
     syscalls: SyscallSnapshot
     block_start: int | None
-    scoreboard: tuple | None
     trace: tuple[tuple[int, int], ...]
     finished: bool = False
     exit_code: int = 0
 
 
 class FuncSim:
-    """Functional ISS + analytical cycle model.
+    """Functional ISS: executes and monitors; :func:`run_timed` times it.
 
     Parameters
     ----------
     program:
         The assembled image to execute.
     cycle_model:
-        Pipeline latency parameters (defaults to the paper's single-issue
-        in-order configuration).
+        Pipeline latency parameters :func:`run_timed` replays the run with
+        (defaults to the paper's single-issue in-order configuration).
     monitor:
         Optional integrity monitor (duck-typed :class:`Monitor`).
     fetch_hook:
@@ -266,9 +243,6 @@ class FuncSim:
         would, without burning the remaining budget.  Campaign kernels
         arm it at the golden run's instruction count so pristine-length
         runs never pay the per-redirect bookkeeping.
-    timed:
-        ``False`` runs without the scoreboard: no cycle count, no timing
-        state in snapshots, same architected behaviour.
     """
 
     def __init__(
@@ -282,7 +256,6 @@ class FuncSim:
         max_instructions: int = 50_000_000,
         decode_cache: dict[int, Instruction] | None = None,
         hang_detector: int | None = None,
-        timed: bool = True,
     ):
         self.program = program
         self.cycle_model = cycle_model or CycleModel()
@@ -299,13 +272,11 @@ class FuncSim:
         )
         self._text_start = program.text_start
         self._text_end = program.text_end
+        #: Called after every block-ending instruction with the OS cycles
+        #: its check charged and whether it redirected fetch (timing only).
+        self._on_block_end: Callable[[int, bool], None] | None = None
         # Resumable run state: run(until=k) pauses here, snapshot()/
         # restore() move it across simulator instances.
-        self._scoreboard = _Scoreboard(self.cycle_model) if timed else None
-        #: Called after every instruction that redirects fetch: the
-        #: scoreboard's squash, or nothing on an untimed run unless a
-        #: recording notes the redirects itself.
-        self._on_redirect = self._scoreboard.redirect if timed else None
         self._trace = BlockTrace() if collect_trace else None
         self._block_start: int | None = None
         self._executed = 0
@@ -346,8 +317,7 @@ class FuncSim:
         """
         state = self.state
         monitor = self.monitor
-        scoreboard = self._scoreboard
-        on_redirect = self._on_redirect
+        on_block_end = self._on_block_end
         trace = self._trace
         block_start = self._block_start
         executed = self._executed
@@ -368,20 +338,17 @@ class FuncSim:
                     block_start = pc
                 # Monitoring happens at the ID stage, before execution — a
                 # mismatch stops the flow-control instruction from executing.
-                extra = 0
                 if monitor is not None:
                     monitor.on_instruction(pc, word)
-                if is_control_flow(instruction):
+                ends_block = instruction.mnemonic in CONTROL_FLOW
+                if ends_block:
                     if trace is not None:
                         trace.append(block_start, pc)
                     block_start = None
-                    if monitor is not None:
-                        extra = monitor.on_block_end(pc)
-                if scoreboard is not None:
-                    scoreboard.issue(instruction, extra)
+                    extra = 0 if monitor is None else monitor.on_block_end(pc)
                 redirected, exited, exit_code = self._execute(instruction, pc)
-                if redirected and on_redirect is not None:
-                    on_redirect()
+                if ends_block and on_block_end is not None:
+                    on_block_end(extra, redirected)
                 if exited:
                     self._finished = True
                     self._exit_code = exit_code
@@ -397,7 +364,7 @@ class FuncSim:
             self._block_start = block_start
             self._executed = executed
         return RunResult(
-            cycles=None if scoreboard is None else scoreboard.total_cycles(),
+            cycles=None,
             instructions=executed,
             exit_code=self._exit_code,
             console=self.syscalls.console_text,
@@ -462,9 +429,6 @@ class FuncSim:
             arch=snapshot_arch(self.state),
             syscalls=snapshot_syscalls(self.syscalls),
             block_start=self._block_start,
-            scoreboard=(
-                None if self._scoreboard is None else self._scoreboard.capture()
-            ),
             trace=(
                 tuple(event.key for event in self._trace)
                 if self._trace is not None
@@ -475,25 +439,13 @@ class FuncSim:
         )
 
     def restore(self, snapshot: FuncSimSnapshot) -> None:
-        """Rewind (or fast-forward) this simulator to *snapshot*.
-
-        Timed and untimed states never mix: a snapshot restores only into
-        a simulator of its own kind.
-        """
-        scoreboard = self._scoreboard
-        if (scoreboard is None) != (snapshot.scoreboard is None):
-            raise ConfigurationError(
-                "timed and untimed FuncSim states never mix: this simulator "
-                f"is {'untimed' if scoreboard is None else 'timed'}"
-            )
+        """Rewind (or fast-forward) this simulator to *snapshot*."""
         # States observed before the move are not on the restored path.
         self._loop_seen.clear()
         restore_arch(self.state, snapshot.arch)
         restore_syscalls(self.syscalls, snapshot.syscalls)
         self._block_start = snapshot.block_start
         self._executed = snapshot.instructions
-        if scoreboard is not None:
-            scoreboard.restore(snapshot.scoreboard)
         if self._trace is not None:
             self._trace.events.clear()
             for start, end in snapshot.trace:
@@ -568,21 +520,50 @@ class FuncSim:
         return redirected, False, 0
 
 
-def run_program(
-    program: Program,
-    monitor: Monitor | None = None,
-    collect_trace: bool = False,
-    inputs: list[int] | None = None,
-    cycle_model: CycleModel | None = None,
-    max_instructions: int = 50_000_000,
-) -> RunResult:
-    """One-shot convenience wrapper around :class:`FuncSim`."""
-    simulator = FuncSim(
-        program,
-        cycle_model=cycle_model,
-        monitor=monitor,
-        collect_trace=collect_trace,
-        inputs=inputs,
-        max_instructions=max_instructions,
-    )
-    return simulator.run()
+def run_timed(simulator: FuncSim) -> RunResult:
+    """Run *simulator* to its end, with the cycles :func:`replay_cycles`
+    gives what it executed under its cycle model, from an empty pipeline.
+
+    Replays every :data:`TIMED_SLICE` instructions.  A run that raises
+    propagates; the simulator gets its fetch and block-end hooks back.
+    """
+    inner, block_end_hook = simulator.fetch_hook, simulator._on_block_end
+    words = array("I")
+    ends = array("q")  # per block end: OS cycles << 1 | redirected
+
+    def fetch(address: int, word: int) -> int:
+        if inner is not None:
+            word = inner(address, word)
+        words.append(word)
+        return word
+
+    def steps():
+        # The decode cache, not _decode: a profiler times that per call.
+        decoded = simulator._decode_cache
+        while not simulator._finished:
+            simulator.run(until=simulator._executed + TIMED_SLICE)
+            block_ends = iter(ends)
+            for word in words:
+                instruction = decoded[word]
+                if instruction.mnemonic in CONTROL_FLOW:
+                    end = next(block_ends)
+                    yield instruction, end >> 1, end & 1
+                else:
+                    yield instruction, 0, 0
+            del words[:], ends[:]
+
+    simulator.fetch_hook = fetch
+    simulator._on_block_end = lambda extra, jump: ends.append(extra << 1 | jump)
+    try:
+        cycles = replay_cycles(steps(), simulator.cycle_model)
+    finally:
+        simulator.fetch_hook, simulator._on_block_end = inner, block_end_hook
+    result = simulator.run()  # finished: executes nothing
+    result.cycles = cycles
+    return result
+
+
+def run_program(program: Program, **options) -> RunResult:
+    """One timed run (:func:`run_timed`) of a fresh :class:`FuncSim` of
+    *program*, built with *options*."""
+    return run_timed(FuncSim(program, **options))

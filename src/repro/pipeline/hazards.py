@@ -3,8 +3,9 @@
 These constants describe the 5-stage pipeline (IF ID EX MEM WB) with full
 forwarding, branch resolution in ID, and a multi-cycle multiply/divide unit.
 Both simulators consume the same :class:`CycleModel`, so Table-1 style cycle
-counts agree between the analytical scoreboard (FuncSim) and the stage-latch
-pipeline (PipelineCPU); the differential tests assert exact equality.
+counts agree between the analytical scoreboard replayed over a FuncSim run
+(``run_timed``) and the stage-latch pipeline (PipelineCPU); the
+differential tests assert exact equality.
 
 Derivation of the delay rules (ID-issue timeline, ``t`` = cycle an
 instruction occupies ID):

@@ -54,12 +54,10 @@ def workload_inputs(name: str, scale: str = "default") -> list[int] | None:
 
 
 def verify(name: str, scale: str = "default") -> bool:
-    """Run the workload on the functional ISS, untimed, and check its
-    output."""
+    """Run the workload on the functional ISS, with no cycle replay, and
+    check its output."""
     from repro.pipeline.funcsim import FuncSim
 
     program = build(name, scale)
-    result = FuncSim(
-        program, inputs=workload_inputs(name, scale), timed=False
-    ).run()
+    result = FuncSim(program, inputs=workload_inputs(name, scale)).run()
     return result.console == expected_console(name, scale)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.asm.assembler import assemble
 from repro.pipeline.cpu import PipelineCPU
-from repro.pipeline.funcsim import FuncSim
+from repro.pipeline.funcsim import FuncSim, run_timed
 
 
 EXIT_SNIPPET = """
@@ -21,8 +21,9 @@ def assemble_with_exit(body: str, name: str = "test"):
 
 
 def run_both(program, **kwargs):
-    """Run on both engines; assert architected equivalence; return results."""
-    func_result = FuncSim(program, **kwargs).run()
+    """Run on both engines; assert architected equivalence, and cycles
+    replayed over the FuncSim run equal to the pipeline's; return results."""
+    func_result = run_timed(FuncSim(program, **kwargs))
     pipe_result = PipelineCPU(program, **kwargs).run()
     assert func_result.console == pipe_result.console
     assert func_result.exit_code == pipe_result.exit_code

@@ -112,7 +112,7 @@ class TestEvaluation:
         from replayed misses equals a live monitored simulation's."""
         from repro.eval.common import baseline_run
         from repro.osmodel.loader import load_process
-        from repro.pipeline.funcsim import FuncSim
+        from repro.pipeline.funcsim import FuncSim, run_timed
         from repro.workloads.suite import build, workload_inputs
 
         for point in reference.ordered():
@@ -126,11 +126,13 @@ class TestEvaluation:
                     hash_name=config.hash_name,
                     miss_penalty=config.miss_penalty,
                 ).monitor
-                live = FuncSim(
-                    program,
-                    monitor=monitor,
-                    inputs=workload_inputs(workload, space.scale),
-                ).run()
+                live = run_timed(
+                    FuncSim(
+                        program,
+                        monitor=monitor,
+                        inputs=workload_inputs(workload, space.scale),
+                    )
+                )
                 live_overhead = (live.cycles - base.cycles) / base.cycles
                 assert point.per_workload[workload][
                     "cycle_overhead"

@@ -3,13 +3,12 @@
 The CIC only observes the fetch stream, so a pristine run executes
 identically under every monitor configuration; the monitor changes only
 timing.  :func:`repro.exec.golden.build_golden_store` therefore records
-the golden run once per program and inputs in a process, untimed and
-with no monitor, and overlays every configuration on it.  These tests
-pin an overlaid store equal, checkpoint for checkpoint, to an untimed
-monitored recording of the same configuration — architected state,
-syscalls, CIC registers, IHT rows, handler counters and policy state,
-with no timing state on either side — and the DSE points it feeds
-independent of the order configurations are measured in.
+the golden run once per program and inputs in a process, with no
+monitor, and overlays every configuration on it.  These tests pin an
+overlaid store equal, checkpoint for checkpoint, to a monitored recording
+of the same configuration — architected state, syscalls, CIC registers,
+IHT rows, handler counters and policy state — and the DSE points it
+feeds independent of the order configurations are measured in.
 """
 
 from __future__ import annotations
@@ -47,8 +46,7 @@ CONFIGS = [
 
 
 def monitored_store(context, interval=None):
-    """The reference: one untimed monitored recording of *context*'s
-    config."""
+    """The reference: one monitored recording of *context*'s config."""
     warm = WarmProcess.from_context(context)
     simulator = FuncSim(
         context.program,
@@ -56,7 +54,6 @@ def monitored_store(context, interval=None):
         inputs=context.inputs,
         max_instructions=context.instruction_budget,
         decode_cache=warm.decode_cache,
-        timed=False,
     )
     return record_store(simulator, interval, "reference")
 
@@ -65,7 +62,6 @@ def assert_same_store(overlaid, recorded):
     assert len(overlaid.checkpoints) == len(recorded.checkpoints) > 1
     for mine, theirs in zip(overlaid.checkpoints, recorded.checkpoints):
         assert mine == theirs, mine.instructions
-        assert mine.sim.scoreboard is None
     assert overlaid.fetch_ordinals == recorded.fetch_ordinals
     assert overlaid.unsafe_words == recorded.unsafe_words
     assert overlaid.golden_instructions == recorded.result.instructions

@@ -37,6 +37,7 @@ from repro.obs import core as obs
 from repro.osmodel.handler import OSExceptionHandler
 from repro.osmodel.loader import load_process
 from repro.pipeline import cpu, funcsim
+from repro.pipeline.cpu import PipelineCPU
 from repro.pipeline.funcsim import FuncSim, run_program
 from repro.pipeline.trace import executed_addresses
 from repro.workloads.suite import WORKLOAD_NAMES, build, workload_inputs
@@ -147,9 +148,10 @@ class TestDerivedEqualsReference:
 
 
 class TestUnmonitoredCycles:
-    """The recording runs untimed, yet notes every redirect, so the
-    cycles replayed off its stream equal a timed unmonitored run's
-    (:class:`TestDerivedEqualsReference` covers the nine workloads)."""
+    """The recording keeps no timing, yet notes every redirect, so the
+    cycles replayed off its stream equal the cycle-level pipeline's
+    (:class:`TestDerivedEqualsReference` covers the nine workloads
+    against a live timed run)."""
 
     @staticmethod
     def assert_replayed_cycles(source):
@@ -158,7 +160,7 @@ class TestUnmonitoredCycles:
             patch.setattr(golden, "_RECORDINGS", OrderedDict())
             recording = golden.pristine_recording(CampaignContext(program))
         assert recording.run.result.cycles is None
-        assert recording.cycles() == run_program(program).cycles
+        assert recording.cycles() == PipelineCPU(program).run().cycles
 
     def test_branch_to_the_next_instruction(self):
         # Its taken `beq` redirects to where the untaken one would go:
@@ -173,11 +175,12 @@ class TestUnmonitoredCycles:
 
 class TestMonitoredCycles:
     """Table 1's replay: the recording's stream through a fresh monitor
-    gives a live timed monitored run's cycles and monitor statistics."""
+    gives a live monitored run's cycles and monitor statistics on the
+    cycle-level pipeline."""
 
     @staticmethod
     def assert_replays_live(program, inputs=None, **config):
-        live = FuncSim(
+        live = PipelineCPU(
             program, monitor=load_process(program, **config).monitor, inputs=inputs
         ).run()
         checker = load_process(program, **config).monitor

@@ -1,7 +1,7 @@
 """Gate the work, not the time: where the scoreboard still runs.
 
 Nothing on a fault campaign's path reads cycles, so it issues no
-instruction to :class:`FuncSim`'s scoreboard: not the pristine recording,
+instruction to the scoreboard (``replay_cycles``): not the pristine recording,
 not the monitor overlays, not either functional kernel.  A DSE sweep
 reads the unmonitored cycles of each workload once, by replaying the
 scoreboard over the recording's fetch stream behind the cached

@@ -2,10 +2,11 @@
 
 For every workload (tiny scale), the functional ISS with the behavioural
 checker and the cycle-level pipeline with the *microoperation-driven*
-monitor must agree on every observable: cycles, console, instruction count,
-block trace, and monitor statistics.  This single property transitively
-validates the scoreboard against the stage machine and the paper's
-microoperation listings against the behavioural CIC.
+monitor must agree on every observable: cycles (replayed over the ISS run
+by ``run_timed``), console, instruction count, block trace, and monitor
+statistics.  This single property transitively validates the scoreboard
+replay against the stage machine and the paper's microoperation listings
+against the behavioural CIC.
 """
 
 import pytest
@@ -18,7 +19,7 @@ from repro.osmodel.handler import OSExceptionHandler
 from repro.osmodel.loader import load_process
 from repro.osmodel.policies import get_policy
 from repro.pipeline.cpu import PipelineCPU
-from repro.pipeline.funcsim import FuncSim
+from repro.pipeline.funcsim import FuncSim, run_timed
 from repro.workloads.suite import WORKLOAD_NAMES, build, workload_inputs
 
 IHT_SIZE = 8
@@ -36,7 +37,7 @@ def _micro_monitor(program, hash_name="xor"):
 def test_unmonitored_equivalence(name):
     program = build(name, "tiny")
     inputs = workload_inputs(name, "tiny")
-    func_result = FuncSim(program, collect_trace=True, inputs=inputs).run()
+    func_result = run_timed(FuncSim(program, collect_trace=True, inputs=inputs))
     pipe_result = PipelineCPU(program, collect_trace=True, inputs=inputs).run()
     assert func_result.cycles == pipe_result.cycles
     assert func_result.console == pipe_result.console
@@ -51,7 +52,7 @@ def test_monitored_equivalence_fast_vs_micro(name):
     program = build(name, "tiny")
     inputs = workload_inputs(name, "tiny")
     process = load_process(program, iht_size=IHT_SIZE)
-    func_result = FuncSim(program, monitor=process.monitor, inputs=inputs).run()
+    func_result = run_timed(FuncSim(program, monitor=process.monitor, inputs=inputs))
     pipe_result = PipelineCPU(
         program, monitor=_micro_monitor(program), inputs=inputs
     ).run()
@@ -67,7 +68,7 @@ def test_monitored_equivalence_fast_vs_micro(name):
 def test_monitoring_cost_is_exactly_os_cycles(name):
     program = build(name, "tiny")
     inputs = workload_inputs(name, "tiny")
-    baseline = FuncSim(program, inputs=inputs).run()
+    baseline = run_timed(FuncSim(program, inputs=inputs))
     process = load_process(program, iht_size=IHT_SIZE)
-    monitored = FuncSim(program, monitor=process.monitor, inputs=inputs).run()
+    monitored = run_timed(FuncSim(program, monitor=process.monitor, inputs=inputs))
     assert monitored.cycles == baseline.cycles + monitored.monitor_stats.os_cycles

@@ -172,10 +172,10 @@ class TestEquivalenceWithBehaviouralChecker:
             )
             return CodeIntegrityChecker(iht, handler, algorithm)
 
-        from repro.pipeline.funcsim import FuncSim
+        from repro.pipeline.funcsim import FuncSim, run_timed
 
         fast = make_fast()
-        result = FuncSim(program, monitor=fast).run()
+        result = run_timed(FuncSim(program, monitor=fast))
 
         # Micro-level: replay the same fetch stream through Figure 3b/4.
         from repro.cic.micromonitor import MicroMonitor
@@ -183,7 +183,7 @@ class TestEquivalenceWithBehaviouralChecker:
         iht = InternalHashTable(4)
         handler = OSExceptionHandler(fht=fht, iht=iht, policy=get_policy("lru_half"))
         micro = MicroMonitor(iht, handler, XorChecksum())
-        result_micro = FuncSim(program, monitor=micro).run()
+        result_micro = run_timed(FuncSim(program, monitor=micro))
 
         assert result.monitor_stats.lookups == result_micro.monitor_stats.lookups
         assert result.monitor_stats.misses == result_micro.monitor_stats.misses

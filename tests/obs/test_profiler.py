@@ -1,4 +1,8 @@
-"""The phase profiler is a pure observer: identical RunResult, restored sim."""
+"""The phase profiler is a pure observer: identical RunResult, restored sim.
+
+``FuncSim`` runs are timed (:func:`run_timed`), so its cycles compare as
+integers and the replay is profiled too.
+"""
 
 import pytest
 
@@ -6,7 +10,7 @@ from repro.asm.assembler import assemble
 from repro.obs.profiler import PHASES, PhaseProfiler, _MonitorProxy
 from repro.osmodel.loader import load_process
 from repro.pipeline.cpu import PipelineCPU
-from repro.pipeline.funcsim import FuncSim
+from repro.pipeline.funcsim import FuncSim, run_timed
 
 SOURCE = """
 main:   li $t0, 5
@@ -30,6 +34,10 @@ def build(engine, monitored=True):
     return engine(program, monitor=monitor)
 
 
+def run(sim):
+    return run_timed(sim) if isinstance(sim, FuncSim) else sim.run()
+
+
 def result_key(result):
     return (
         result.exit_code,
@@ -42,11 +50,12 @@ def result_key(result):
 @pytest.mark.parametrize("engine", ENGINES)
 class TestObserverOnly:
     def test_profiled_run_result_identical(self, engine):
-        plain = build(engine).run()
+        plain = run(build(engine))
         sim = build(engine)
         profiler = PhaseProfiler().attach(sim)
-        profiled = sim.run()
+        profiled = run(sim)
         assert result_key(profiled) == result_key(plain)
+        assert isinstance(plain.cycles, int)
         assert (
             profiled.monitor_stats.lookups == plain.monitor_stats.lookups
         )
@@ -88,6 +97,17 @@ class TestObserverOnly:
         profiler = PhaseProfiler().attach(sim)
         sim.run()
         assert profiler.report()["monitor"]["calls"] == 0
+
+
+def test_timed_run_decodes_once_per_instruction():
+    """The replay reads the decode cache: a profiled timed run charges
+    the decode phase once per executed instruction, as the run does."""
+    sim = build(FuncSim)
+    profiler = PhaseProfiler().attach(sim)
+    result = run_timed(sim)
+    report = profiler.report()
+    assert report["decode"]["calls"] == result.instructions
+    assert report["fetch"]["calls"] == result.instructions
 
 
 class TestAttachment:

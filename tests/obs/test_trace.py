@@ -133,6 +133,58 @@ class TestExport:
             export_trace(bare, tmp_path / "t.json")
 
 
+def tracks(trace) -> dict[int, list[dict]]:
+    """Shard slices by worker track, in time order."""
+    by_worker: dict[int, list[dict]] = {}
+    for event in sorted(slices(trace, "shard"), key=lambda event: event["ts"]):
+        by_worker.setdefault(event["tid"], []).append(event)
+    return by_worker
+
+
+class TestWindowedTimeline:
+    """A window's shards commit together, each with its share of the
+    window's time; on the worker's track they lie end to end."""
+
+    def test_a_windows_slices_are_disjoint(self, tmp_path):
+        out = tmp_path / "window.jsonl"
+        with obs.scoped(True):
+            runner = CampaignRunner(
+                CampaignSpec(workload="bitcount", scale="tiny", backend="golden")
+            )
+            faults = runner.campaign.random_single_bit(48, seed=7)
+            runner.run(faults, seed=7, out=out)
+        committed = [
+            event
+            for event in read_events(events_path(out))
+            if event["type"] == "shard-committed"
+        ]
+        assert len(committed) == 3  # one window of three 16-fault shards
+        trace = export_trace(out, tmp_path / "t.json")
+        for track in tracks(trace).values():
+            for before, after in zip(track, track[1:]):
+                assert before["ts"] + before["dur"] <= after["ts"] + 1e-6
+        assert sum(event["dur"] for event in slices(trace, "shard")) == (
+            pytest.approx(sum(event["seconds"] for event in committed) * 1e6)
+        )
+
+    def test_sequential_slices_end_at_their_commits(self):
+        def committed(shard, t, seconds):
+            return {
+                "type": "shard-committed", "t": t, "shard": shard,
+                "seconds": seconds, "worker": 5,
+            }
+
+        events = [
+            {"type": "run-started", "t": 10.0},
+            committed(0, 10.5, 0.25),
+            committed(1, 11.0, 0.5),
+        ]
+        (track,) = tracks(build_trace(metrics=None, events=events)).values()
+        assert [(event["ts"], event["dur"]) for event in track] == [
+            (0.25e6, 0.25e6), (0.5e6, 0.5e6)
+        ]
+
+
 class TestSources:
     def test_collect_resolves_any_sibling(self, finished_run, tmp_path):
         for name in (

@@ -1,7 +1,7 @@
 """Differential tests: FuncSim vs PipelineCPU on a program corpus.
 
-The functional simulator's scoreboard and the stage-latch pipeline must
-agree on cycles, console, instruction counts, block traces, architected
+The scoreboard replayed over a functional run (``run_timed``) and the
+stage-latch pipeline must agree on cycles, console, instruction counts, block traces, architected
 registers, and memory effects — for handcrafted corner programs, for
 hypothesis-generated ALU programs, and (in test_workloads_differential)
 for every workload.

@@ -86,14 +86,14 @@ def test_random_programs_monitored_equivalence(source):
     """Same corpus, with the integrity monitor attached to both engines."""
     from repro.osmodel.loader import load_process
     from repro.pipeline.cpu import PipelineCPU
-    from repro.pipeline.funcsim import FuncSim
+    from repro.pipeline.funcsim import FuncSim, run_timed
 
     program = assemble(source)
     func_sim = FuncSim(program, monitor=load_process(program, iht_size=4).monitor)
     pipe_sim = PipelineCPU(
         program, monitor=load_process(program, iht_size=4).monitor
     )
-    func_result = func_sim.run()
+    func_result = run_timed(func_sim)
     pipe_result = pipe_sim.run()
     assert func_result.cycles == pipe_result.cycles
     assert func_result.monitor_stats.misses == pipe_result.monitor_stats.misses

@@ -11,7 +11,7 @@ import pytest
 
 from repro.asm.assembler import assemble
 from repro.pipeline.cpu import PipelineCPU
-from repro.pipeline.funcsim import FuncSim
+from repro.pipeline.funcsim import FuncSim, run_timed
 from repro.pipeline.hazards import CycleModel
 
 from tests.conftest import run_both
@@ -342,7 +342,7 @@ def test_pipeline_depth_parameter(depth):
     model = CycleModel(depth=depth)
     program = assemble("li $v0, 10\nsyscall")
     func_result, pipe_result = (
-        FuncSim(program, cycle_model=model).run(),
+        run_timed(FuncSim(program, cycle_model=model)),
         PipelineCPU(program, cycle_model=model).run(),
     )
     # li ID at 2, syscall ID at 3, retiring depth-2 cycles later.

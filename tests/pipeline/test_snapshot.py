@@ -3,9 +3,12 @@
 The contract the golden-trace campaign backend rests on: pause a run at
 *any* instruction boundary k, snapshot, restore into a **fresh** simulator,
 run to completion — the final result (console, exit code, instruction
-count, cycle count, block trace) is identical to an uninterrupted run.
-Checked for the functional simulator and the cycle-level pipeline, with
-and without a monitor attached, at hypothesis-chosen pause points.
+count, block trace, and on the pipeline the cycle count) is identical to
+an uninterrupted run.  Checked for the functional simulator and the
+cycle-level pipeline, with and without a monitor attached, at
+hypothesis-chosen pause points.  A ``FuncSim`` snapshot carries no
+timing: ``FuncSim.run`` reports none, and ``run_timed`` replays a whole
+run's cycles from an empty pipeline.
 """
 
 from __future__ import annotations
@@ -50,15 +53,16 @@ loop:   sll  $t1, $t0, 2
 """
 
 
-def result_key(result):
+def result_key(result, engine):
+    """What a resumed run must reproduce; cycles on the pipeline only,
+    since ``FuncSim.run`` reports none."""
     return (
         result.console,
         result.exit_code,
         result.instructions,
-        result.cycles,
         result.finished,
         tuple(event.key for event in result.block_trace or ()),
-    )
+    ) + ((result.cycles,) if engine is PipelineCPU else ())
 
 
 def roundtrip(engine, k: int, monitored: bool = False):
@@ -88,7 +92,7 @@ def roundtrip(engine, k: int, monitored: bool = False):
         checker.handler.restore(handler_state)
     second.restore(first.snapshot())
     resumed = second.run()
-    assert result_key(resumed) == result_key(reference)
+    assert result_key(resumed, engine) == result_key(reference, engine)
 
 
 @settings(max_examples=20, deadline=None)
@@ -124,7 +128,7 @@ def test_run_until_is_idempotent_at_exit(engine):
     final = simulator.run()
     assert final.finished
     again = simulator.run()
-    assert result_key(again) == result_key(final)
+    assert result_key(again, engine) == result_key(final, engine)
 
 
 @pytest.mark.parametrize("engine", [FuncSim, PipelineCPU])
@@ -139,7 +143,7 @@ def test_incremental_stepping_equals_one_shot(engine):
         if result.finished:
             break
         mark += 7
-    assert result_key(result) == result_key(reference)
+    assert result_key(result, engine) == result_key(reference, engine)
 
 
 def test_workload_checkpoint_roundtrip():
@@ -164,6 +168,5 @@ def test_workload_checkpoint_roundtrip():
     resumed = second.run()
     assert resumed.console == reference.console
     assert resumed.instructions == reference.instructions
-    assert resumed.cycles == reference.cycles
     assert resumed.monitor_stats.misses == reference.monitor_stats.misses
     assert resumed.monitor_stats.os_cycles == reference.monitor_stats.os_cycles

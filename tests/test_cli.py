@@ -1,6 +1,7 @@
 """CLI tests."""
 
 import json
+import re
 import types
 
 import pytest
@@ -57,6 +58,27 @@ class TestRun:
         assert main(["run", program_file, "--engine", "pipeline"]) == 0
         assert capsys.readouterr().out.strip() == "42"
 
+    def test_engines_report_the_same_cycles(self, program_file, capsys):
+        cycles = []
+        for engine in ("func", "pipeline"):
+            assert main(["run", program_file, "--engine", engine]) == 0
+            err = capsys.readouterr().err
+            cycles.append(int(re.search(r"(\d+) cycles", err).group(1)))
+        assert cycles[0] == cycles[1] > 0
+
+    def test_profile_charges_decode_once_per_instruction(
+        self, program_file, capsys
+    ):
+        assert main(["run", program_file, "--profile"]) == 0
+        err = capsys.readouterr().err
+        instructions = int(re.search(r"(\d+) instructions", err).group(1))
+        calls = {
+            line.split()[0]: int(line.split()[1])
+            for line in err.splitlines()
+            if line.startswith(("fetch ", "decode "))
+        }
+        assert calls == {"fetch": instructions, "decode": instructions}
+
     def test_input_queue(self, tmp_path, capsys):
         path = tmp_path / "echo.s"
         path.write_text("""
@@ -84,6 +106,18 @@ class TestMonitor:
             ["monitor", program_file, "--flip", "0x400004:3"]
         ) == 2
         assert "VIOLATION" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["zz", "0x400000", "0x400000:99", ":3", "0x400000:x", "0x100000000:1"],
+    )
+    def test_malformed_flip_is_a_usage_error(self, program_file, spec, capsys):
+        with pytest.raises(SystemExit) as stopped:
+            main(["monitor", program_file, "--flip", spec])
+        assert stopped.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("error:") == 1 and "ADDR:BIT" in err
 
     def test_hash_selection(self, program_file):
         assert main(["monitor", program_file, "--hash", "crc32"]) == 0
